@@ -16,6 +16,7 @@ from .bounds import (
     det_quotient_identity,
     lemma_f_bound,
     theorem_bound,
+    theorem_report,
     verify_theorem,
 )
 from .closedform import (
@@ -60,7 +61,6 @@ from .sim import (
     innovation_stats,
     monte_carlo,
     simulate_trajectory,
-    surrogate_matrices,
 )
 
 __all__ = [
@@ -91,6 +91,7 @@ __all__ = [
     "DegenerateBasis",
     "classify_stability",
     "theorem_bound",
+    "theorem_report",
     "verify_theorem",
     "det_quotient_identity",
     "lemma_f_bound",
@@ -106,7 +107,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "EnsembleStats",
-    "surrogate_matrices",
     "simulate_trajectory",
     "monte_carlo",
     "innovation_stats",

@@ -6,9 +6,9 @@ det(V_inf) >= hbar^2/4 when kappa is positive; the Heisenberg floor
 det >= hbar^2/4 holds regardless. kappa also governs stability of the
 drift A, whose characteristic polynomial is
 lambda^2 + 2*kappa*lambda + kappa^2 + det(G). This module implements the
-bound selection, the stability classification, the full verification
-report for a spec, and the projected-basis identities used to derive the
-bound, as executable checks.
+bound selection, the stability classification, the verification report
+(from a steady solution, or for a spec), and the projected-basis identities
+used to derive the bound, as executable checks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Literal
 import numpy as np
 
 from .model import SIGMA, DerivedModel, SystemSpec, build_derived
-from .riccati import NoSteadySolution, solve_are
+from .riccati import NoSteadySolution, SteadyState, solve_are
 
 __all__ = [
     "KAPPA_DEADBAND",
@@ -29,6 +29,7 @@ __all__ = [
     "ProofIdentityReport",
     "classify_stability",
     "theorem_bound",
+    "theorem_report",
     "verify_theorem",
     "det_quotient_identity",
     "lemma_f_bound",
@@ -64,7 +65,8 @@ class TheoremReport:
     """Bound verification for one system.
 
     ``margin = det_V_inf - bound``; ``heisenberg_ok`` checks the universal
-    det >= hbar^2/4 floor; ``proof_identity_residual`` is the quotient-
+    det >= hbar^2/4 floor with a slack of 1e-10*hbar^2;
+    ``proof_identity_residual`` is the quotient-
     identity residual (NaN when Cr = 0 or no steady state exists).
     """
 
@@ -222,48 +224,45 @@ def lemma_f_bound(a: float, b: float, v: float) -> bool:
     return f >= bound - 1e-12 * (1.0 + bound)
 
 
+def theorem_report(model: DerivedModel, steady: SteadyState | None) -> TheoremReport:
+    """Bound verification for one system from its steady solution.
+
+    ``steady`` is the result of ``solve_are(model)``, or None when no
+    steady solution exists; then the report says so and its numeric fields
+    are NaN.
+    """
+    bound = theorem_bound(model)
+    det = proof_residual = float("nan")
+    if steady is not None:
+        det = float(np.linalg.det(steady.V_inf))
+        try:
+            proof_residual = det_quotient_identity(model, steady.V_inf).quotient_residual
+        except DegenerateBasis:
+            pass
+    hbar2 = model.hbar * model.hbar
+    return TheoremReport(
+        kappa=model.kappa,
+        kappa_class="positive" if model.kappa > KAPPA_DEADBAND else "nonpositive",
+        stability_class=classify_stability(model).stability_class,
+        bound=bound,
+        steady_state_exists=steady is not None,
+        det_V_inf=det,
+        margin=det - bound,
+        heisenberg_ok=det >= 0.25 * hbar2 - 1e-10 * hbar2,  # False for NaN
+        proof_identity_residual=proof_residual,
+    )
+
+
 def verify_theorem(spec: SystemSpec) -> TheoremReport:
     """Verify the estimation bound for one system.
 
     Computes the steady covariance (if it exists), the applicable bound,
     the margin, the Heisenberg floor check, and the quotient-identity
-    residual. When no steady solution exists, the report says so and its
-    numeric fields are NaN.
+    residual; see :func:`theorem_report`.
     """
     model = build_derived(spec)
-    stab = classify_stability(model)
-    kappa_class: Literal["nonpositive", "positive"] = (
-        "positive" if model.kappa > KAPPA_DEADBAND else "nonpositive"
-    )
-    bound = theorem_bound(model)
     try:
         steady = solve_are(model)
     except NoSteadySolution:
-        return TheoremReport(
-            kappa=model.kappa,
-            kappa_class=kappa_class,
-            stability_class=stab.stability_class,
-            bound=bound,
-            steady_state_exists=False,
-            det_V_inf=float("nan"),
-            margin=float("nan"),
-            heisenberg_ok=False,
-            proof_identity_residual=float("nan"),
-        )
-    det = float(np.linalg.det(steady.V_inf))
-    try:
-        proof = det_quotient_identity(model, steady.V_inf)
-        proof_residual = proof.quotient_residual
-    except DegenerateBasis:
-        proof_residual = float("nan")
-    return TheoremReport(
-        kappa=model.kappa,
-        kappa_class=kappa_class,
-        stability_class=stab.stability_class,
-        bound=bound,
-        steady_state_exists=True,
-        det_V_inf=det,
-        margin=det - bound,
-        heisenberg_ok=det >= 0.25 * model.hbar * model.hbar - 1e-10,
-        proof_identity_residual=proof_residual,
-    )
+        steady = None
+    return theorem_report(model, steady)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_criteria
-from .bounds import verify_theorem
+from .bounds import theorem_bound, theorem_report
 from .closedform import (
     Example1Params,
     Example2Params,
@@ -42,9 +42,9 @@ from .model import (
     validate_spec,
 )
 from .riccati import (
+    ExistenceProbe,
     NoSteadySolution,
     RiccatiDivergence,
-    are_existence_probe,
     integrate_riccati,
     solve_are,
 )
@@ -144,7 +144,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     overrides = _parse_set(args.set)
     spec, source = _resolve_spec(args, overrides)
     model = build_derived(spec)
-    probe = are_existence_probe(model)
+    try:
+        steady = solve_are(model)
+    except NoSteadySolution:
+        steady = None
+    probe = ExistenceProbe.of(model, steady)
     report: dict[str, Any] = {
         "spec": spec_to_dict(spec),
         "derived": {
@@ -167,11 +171,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "exists": probe.exists,
             "detail": probe.detail,
         },
-        "theorem": verify_theorem(spec).to_dict(),
+        "theorem": theorem_report(model, steady).to_dict(),
     }
     exit_code = EXIT_OK
-    if probe.exists:
-        steady = solve_are(model, method=args.method)
+    if steady is not None:
+        if args.method == "ode":
+            steady = solve_are(model, method="ode")
         report["steady_state"] = {
             "V_inf": _matrix(steady.V_inf),
             "det": float(np.linalg.det(steady.V_inf)),
@@ -220,7 +225,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         point[args.param] = float(value)
         spec, _ = _resolve_spec(args, point)
         model = build_derived(spec)
-        bound = verify_theorem(spec).bound
+        bound = theorem_bound(model)
         try:
             V = solve_are(model).V_inf
             det = float(np.linalg.det(V))

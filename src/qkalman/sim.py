@@ -30,7 +30,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "EnsembleStats",
-    "surrogate_matrices",
     "simulate_trajectory",
     "monte_carlo",
     "innovation_stats",
@@ -166,11 +165,6 @@ class EnsembleStats:
             "innovation_mean": self.innovation_mean,
             "innovation_var": self.innovation_var,
         }
-
-
-def surrogate_matrices(model: DerivedModel) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """The classical surrogate (M, R, S, Q) of a derived model."""
-    return model.M, model.R, model.S, model.Q
 
 
 def _psd_factor(J: np.ndarray, context: str) -> np.ndarray:

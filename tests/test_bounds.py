@@ -5,6 +5,7 @@ from scipy.optimize import minimize_scalar
 from qkalman import (
     DegenerateBasis,
     NoSteadySolution,
+    SteadyState,
     SystemSpec,
     build_derived,
     classify_stability,
@@ -12,6 +13,7 @@ from qkalman import (
     lemma_f_bound,
     solve_are,
     theorem_bound,
+    theorem_report,
     verify_theorem,
 )
 from qkalman.closedform import (
@@ -132,6 +134,18 @@ class TestVerifyTheorem:
             "heisenberg_ok",
             "proof_identity_residual",
         }
+
+    def test_heisenberg_slack_scales_with_hbar(self):
+        # At hbar = 1e-34 an absolute slack would pass any det(V_inf).
+        hbar = 1e-34
+        model = build_derived(example2_spec(Example2Params(hbar=hbar)))
+
+        def report_at(det):
+            V = np.sqrt(det) * np.eye(2)
+            return theorem_report(model, SteadyState(V, 0.0, "hamiltonian", True))
+
+        assert not report_at(hbar * hbar / 16.0).heisenberg_ok
+        assert report_at(hbar * hbar / 4.0).heisenberg_ok
 
     def test_consistent_with_classify(self, rng):
         for _ in range(50):

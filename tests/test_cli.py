@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qkalman import riccati
 from qkalman.cli import main
 
 
@@ -186,6 +187,35 @@ class TestSweep:
             ["sweep", "--example", "2", "--param", "alpha", "--min", "0.1", "--max", "1", "--steps", "3", "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+class TestOneSolvePerSystem:
+    """Each command enters the steady-solve routes once per system."""
+
+    @pytest.fixture
+    def route_entries(self, monkeypatch):
+        entries = []
+        for name in ("_solve_hamiltonian", "_solve_ode_limit"):
+
+            def counted(*args, _name=name, _route=getattr(riccati, name), **kwargs):
+                entries.append(_name)
+                return _route(*args, **kwargs)
+
+            monkeypatch.setattr(riccati, name, counted)
+        return entries
+
+    def test_analyze(self, route_entries, tmp_path):
+        assert run(["analyze", "--example", "1", "--out", str(tmp_path)]) == 0
+        assert route_entries == ["_solve_hamiltonian"]
+
+    def test_analyze_ode_method_adds_one_ode_solve(self, route_entries, tmp_path):
+        assert run(["analyze", "--example", "1", "--method", "ode", "--out", str(tmp_path)]) == 0
+        assert route_entries == ["_solve_hamiltonian", "_solve_ode_limit"]
+
+    def test_sweep(self, route_entries, tmp_path):
+        argv = ["sweep", "--example", "1", "--param", "phi", "--min", "-1", "--max", "1"]
+        assert run(argv + ["--steps", "5", "--out", str(tmp_path)]) == 0
+        assert route_entries == ["_solve_hamiltonian"] * 5
 
 
 class TestSimulate:

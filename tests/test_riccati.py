@@ -3,9 +3,11 @@ import pytest
 from scipy.linalg import solve_continuous_are
 
 from qkalman import (
+    ExistenceProbe,
     NoSteadySolution,
     RiccatiDivergence,
     RiccatiFlow,
+    SteadyState,
     SystemSpec,
     are_existence_probe,
     build_derived,
@@ -20,7 +22,6 @@ from qkalman.closedform import (
     example1_spec,
     example2_spec,
 )
-from qkalman.riccati import _integrate_batch
 
 from conftest import random_spec
 
@@ -153,26 +154,23 @@ class TestIntegrate:
         assert np.abs(a - b).max() <= 1e-10
 
     def test_flow_physicality_on_random_population(self, rng):
-        # Starting from the vacuum, the flow keeps det >= hbar^2/4 and V >= 0.
+        # Starting from the vacuum, the flow keeps det >= hbar^2/4 and V >= 0
+        # until it leaves the 1e10 box (parked there; no longer checked).
         n = 200
-        models = [build_derived(random_spec(rng)) for _ in range(n)]
-        Ap = np.stack([m.Aprime for m in models])
-        D = np.stack([m.D for m in models])
-        N = np.stack([m.quadratic_coefficient() for m in models])
-        V = np.broadcast_to(0.5 * np.eye(2), (n, 2, 2)).copy()
-        alive = np.ones(n, dtype=bool)
-        dt, seg, t_total = 2e-3, 50, 10.0
-        for _ in range(int(t_total / (dt * seg))):
-            V, _, _ = _integrate_batch(Ap, D, N, V, seg * dt, dt, store=False)
-            finite = np.isfinite(V).all(axis=(1, 2)) & (np.abs(V).max(axis=(1, 2)) < 1e10)
-            alive &= finite
-            Vs = V[alive]
-            dets = np.linalg.det(Vs)
-            assert dets.min() >= 0.25 - 1e-9
-            eigmin = np.linalg.eigvalsh(Vs)[:, 0]
-            assert eigmin.min() >= -1e-9
-            V[~alive] = np.eye(2)  # parked; no longer checked
-        assert alive.sum() >= n // 2
+        alive = 0
+        for _ in range(n):
+            model = build_derived(random_spec(rng))
+            try:
+                values = integrate_riccati(model, 0.5 * np.eye(2), t_final=10.0, dt=2e-3).values
+            except RiccatiDivergence as exc:
+                values = exc.flow.values
+            inside = np.isfinite(values).all(axis=(1, 2)) & (np.abs(values).max(axis=(1, 2)) < 1e10)
+            cut = len(values) if inside.all() else int(np.argmin(inside))
+            alive += cut == len(values)
+            Vs = values[:cut]
+            assert np.linalg.det(Vs).min() >= 0.25 - 1e-9
+            assert np.linalg.eigvalsh(Vs)[:, 0].min() >= -1e-9
+        assert alive >= n // 2
 
 
 class TestSolveAre:
@@ -273,6 +271,17 @@ class TestExistenceProbe:
                             p = Example1Params(m=m, omega=omega, alpha=alpha, phi=phi, eta=eta)
                             probe = are_existence_probe(build_derived(example1_spec(p)))
                             assert probe.exists, p
+
+    def test_view_reads_route_of_solve_result(self):
+        model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0)))
+        steady = solve_are(model)
+        assert ExistenceProbe.of(model, steady).detail == "stable-subspace solution accepted"
+        fallback = SteadyState(steady.V_inf, steady.residual, "ode_limit", True)
+        assert "subspace route failed" in ExistenceProbe.of(model, fallback).detail
+        missing = ExistenceProbe.of(model, None)
+        assert not missing.exists
+        probe = are_existence_probe(model)
+        assert np.array_equal(missing.hamiltonian_eigenvalues, probe.hamiltonian_eigenvalues)
 
     def test_consistent_with_solver(self, rng):
         for _ in range(25):

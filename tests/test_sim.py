@@ -12,7 +12,6 @@ from qkalman import (
     monte_carlo,
     simulate_trajectory,
     solve_are,
-    surrogate_matrices,
 )
 from qkalman.closedform import Example1Params, Example2Params, example1_spec, example2_spec
 
@@ -26,7 +25,7 @@ class TestSurrogate:
     def test_trapped_particle_zero_phase(self):
         eta, alpha = 0.64, 0.5
         model = build_derived(example1_spec(Example1Params(alpha=alpha, eta=eta, phi=0.0)))
-        M, R, S, Q = surrogate_matrices(model)
+        M, R, S, Q = model.M, model.R, model.S, model.Q
         assert np.allclose(M, 2.0 * np.sqrt(eta) * np.sqrt(2 * alpha) * np.array([1.0, 0.0]))
         assert R == 1.0
         assert np.allclose(S, 0.0)
@@ -35,7 +34,7 @@ class TestSurrogate:
     def test_down_conversion_cross_covariance(self):
         eta = 0.5
         model = build_derived(example2_spec(Example2Params(gamma=1.0, eta=eta, phi=0.0)))
-        M, R, S, Q = surrogate_matrices(model)
+        M, R, S, Q = model.M, model.R, model.S, model.Q
         # Sigma^T (0, 1)^T = (-1, 0)^T
         assert np.allclose(S, np.sqrt(eta) * np.array([-1.0, 0.0]))
         identity_A = model.A - np.outer(S, M) / R
@@ -45,7 +44,7 @@ class TestSurrogate:
 
     def test_zero_coupling(self):
         model = build_derived(SystemSpec(G=np.eye(2), C=np.array([0, 0]), eta=0.5))
-        M, R, S, Q = surrogate_matrices(model)
+        M, R, S, Q = model.M, model.R, model.S, model.Q
         assert np.all(M == 0) and np.all(S == 0) and np.all(Q == 0)
         assert R == 1.0
 
