@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from qkalman import riccati
+from qkalman import build_derived, riccati, solve_are, spec_to_dict
+from qkalman.acceptance import POPULATION_SEED
 from qkalman.cli import main
+
+from conftest import random_spec
 
 
 def run(argv, capsys=None):
@@ -83,6 +87,19 @@ class TestAnalyze:
         code = run(["analyze", "--example", "2", "--method", "ode", "--out", str(out)])
         assert code == 0
         assert read_json(out / "report.json")["steady_state"]["method"] == "ode_limit"
+
+    def test_small_hbar_population_spec_solves(self, tmp_path):
+        # acceptance population spec 5 at hbar = 1e-34: a valid spec whose
+        # steady state is hbar times the hbar = 1 solution
+        rng = np.random.default_rng(POPULATION_SEED)
+        spec = [random_spec(rng) for _ in range(6)][5]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(dict(spec_to_dict(spec), hbar=1e-34)))
+        out = tmp_path / "out"
+        assert run(["analyze", "--spec", str(path), "--out", str(out)]) == 0
+        V = np.array(read_json(out / "report.json")["steady_state"]["V_inf"]) / 1e-34
+        ref = solve_are(build_derived(spec)).V_inf
+        assert np.abs(V - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
 
     def test_unknown_set_key(self, tmp_path, capsys):
         code = run(["analyze", "--example", "1", "--set", "beta=1", "--out", str(tmp_path)])

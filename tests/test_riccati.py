@@ -1,6 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm, solve_continuous_are
 
 from qkalman import (
     ExistenceProbe,
@@ -15,6 +18,7 @@ from qkalman import (
     riccati_rhs,
     solve_are,
 )
+from qkalman.acceptance import POPULATION_SEED, _mp_matrix, _mp_refine
 from qkalman.closedform import (
     Example1Params,
     Example2Params,
@@ -133,18 +137,22 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_riccati(model, 0.5 * np.eye(2), t_final=-1.0, dt=1e-3)
 
-    def test_order_four_convergence(self):
-        # Richardson ratio between halved steps ~ 2^4 on a live transient.
+    def test_flow_matches_expm_oracle_for_every_step(self):
+        # Radon's lemma: V(t) = (Phi21 + Phi22 V0)(Phi11 + Phi12 V0)^-1 with
+        # Phi = exp(M t); the step map is exact, so dt changes only rounding.
         model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=0.5)))
         V0 = 0.5 * np.eye(2)
+        N = model.quadratic_coefficient()
+        Phi = expm(2.0 * np.block([[-model.Aprime.T, N], [model.D, model.Aprime]]))
+        ref = (Phi[2:, :2] + Phi[2:, 2:] @ V0) @ np.linalg.inv(Phi[:2, :2] + Phi[:2, 2:] @ V0)
         ends = [
             integrate_riccati(model, V0, t_final=2.0, dt=dt).values[-1]
             for dt in (8e-3, 4e-3, 2e-3)
         ]
-        e1 = np.abs(ends[0] - ends[1]).max()
-        e2 = np.abs(ends[1] - ends[2]).max()
-        assert e2 > 0
-        assert 8.0 <= e1 / e2 <= 40.0
+        scale = np.abs(ref).max()
+        assert np.abs(ends[0] - ref).max() <= 1e-12 * scale
+        for end in ends[1:]:
+            assert np.abs(end - ends[0]).max() <= 1e-12 * scale
 
     def test_long_horizon_endpoint_insensitive_to_dt(self):
         model = build_derived(example1_spec(Example1Params()))
@@ -156,21 +164,39 @@ class TestIntegrate:
     def test_flow_physicality_on_random_population(self, rng):
         # Starting from the vacuum, the flow keeps det >= hbar^2/4 and V >= 0
         # until it leaves the 1e10 box (parked there; no longer checked).
+        def parked_flow(model):
+            try:
+                values = integrate_riccati(model, 0.5 * np.eye(2), t_final=10.0, dt=2e-3).values
+                diverged = False
+            except RiccatiDivergence as exc:
+                values, diverged = exc.flow.values, True
+            inside = np.isfinite(values).all(axis=(1, 2)) & (np.abs(values).max(axis=(1, 2)) < 1e10)
+            cut = len(values) if inside.all() else int(np.argmin(inside))
+            return values[:cut], cut < len(values), diverged
+
         n = 200
         alive = 0
         for _ in range(n):
-            model = build_derived(random_spec(rng))
-            try:
-                values = integrate_riccati(model, 0.5 * np.eye(2), t_final=10.0, dt=2e-3).values
-            except RiccatiDivergence as exc:
-                values = exc.flow.values
-            inside = np.isfinite(values).all(axis=(1, 2)) & (np.abs(values).max(axis=(1, 2)) < 1e10)
-            cut = len(values) if inside.all() else int(np.argmin(inside))
-            alive += cut == len(values)
-            Vs = values[:cut]
+            Vs, parked, _ = parked_flow(build_derived(random_spec(rng)))
+            alive += not parked
             assert np.linalg.det(Vs).min() >= 0.25 - 1e-9
             assert np.linalg.eigvalsh(Vs)[:, 0].min() >= -1e-9
         assert alive >= n // 2
+
+        # Unobserved unstable modes: these flows grow like exp(4t) and park.
+        # Near |V| ~ 1e10, float64 resolves det(V) and the small eigenvalue
+        # only to rounding relative to max|V|.
+        eps = np.finfo(float).eps
+        diverged = 0
+        for C, eta in (((0, 0), 1.0), ((1j, 0), 0.5)):
+            model = build_derived(SystemSpec(G=np.diag([2.0, -2.0]), C=np.array(C), eta=eta))
+            Vs, parked, div = parked_flow(model)
+            assert parked
+            diverged += div
+            big = np.abs(Vs).max(axis=(1, 2))
+            assert np.all(np.linalg.det(Vs) >= 0.25 - 1e-9 - 64 * eps * big**2)
+            assert np.all(np.linalg.eigvalsh(Vs)[:, 0] >= -1e-9 - 64 * eps * big)
+        assert diverged >= 1
 
 
 class TestSolveAre:
@@ -237,15 +263,76 @@ class TestSolveAre:
             assert np.array_equal(ss.V_inf, ss.V_inf.T)
             assert np.linalg.eigvalsh(ss.V_inf).min() >= -1e-9 * (1 + np.abs(ss.V_inf).max())
 
+    def test_ode_route_matches_60_digit_reference(self):
+        # Six ill-conditioned draws of the acceptance distribution (|V_inf|
+        # 5e5 to 4e7) and acceptance spec 741 (|V_inf| ~ 8e8), against Newton
+        # on the same float64 model at 60 digits.
+        rng = np.random.default_rng([474395620, 1099])
+        defect_draws = [random_spec(rng) for _ in range(2441)]
+        rng = np.random.default_rng(POPULATION_SEED)
+        population = [random_spec(rng) for _ in range(742)]
+        specs = [defect_draws[i] for i in (80, 251, 583, 1012, 2231, 2440)] + [population[741]]
+        for spec in specs:
+            model = build_derived(spec)
+            V = solve_are(model, method="ode").V_inf
+            with mp.workdps(60):
+                A_, D_, N_ = (_mp_matrix(x, mp) for x in (model.Aprime, model.D, model.quadratic_coefficient()))
+                ref = _mp_refine(mp, A_, D_, N_, _mp_matrix(V, mp))
+                ref = np.array([[float(ref[i, j]) for j in range(2)] for i in range(2)])
+            assert np.abs(V - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+
+    @pytest.mark.filterwarnings("error")
     def test_no_measurement_raises(self):
-        spec = SystemSpec(G=np.eye(2), C=np.array([0, 0]), eta=1.0)
-        with pytest.raises(NoSteadySolution):
-            solve_are(build_derived(spec))
+        # zero coupling, a zero generator, and an unobserved unstable mode
+        for G, C, eta in (
+            (np.eye(2), (0, 0), 1.0),
+            (np.zeros((2, 2)), (0, 0), 1.0),
+            (np.diag([2.0, -2.0]), (1j, 0), 0.5),
+        ):
+            model = build_derived(SystemSpec(G=G, C=np.array(C), eta=eta))
+            for method in ("hamiltonian", "ode"):
+                with pytest.raises(NoSteadySolution):
+                    solve_are(model, method=method)
 
     def test_unknown_method_rejected(self):
         model = build_derived(example1_spec(Example1Params()))
         with pytest.raises(ValueError):
             solve_are(model, method="magic")
+
+
+_PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _solve_or_none(model, method):
+    try:
+        return solve_are(model, method=method).V_inf
+    except NoSteadySolution:
+        return None
+
+
+class TestInvariance:
+    @_PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), u=st.floats(-34.0, 3.0))
+    def test_v_inf_proportional_to_hbar(self, seed, u):
+        spec = random_spec(np.random.default_rng(seed))
+        hbar = 10.0**u
+        scaled = SystemSpec(G=spec.G, C=spec.C, phi=spec.phi, eta=spec.eta, hbar=hbar)
+        for method in ("hamiltonian", "ode"):
+            base = _solve_or_none(build_derived(spec), method)
+            assume(base is not None)
+            V = solve_are(build_derived(scaled), method=method).V_inf / hbar
+            assert np.abs(V - base).max() <= 1e-9 * (1.0 + np.abs(base).max())
+
+    @_PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-8, 6))
+    def test_ode_route_bitwise_invariant_under_time_rescaling(self, seed, j):
+        # G -> s G, C -> sqrt(s) C with s = 4^j scales A', D and N by s, a
+        # power of two, which leaves every operation of the route exact.
+        spec = random_spec(np.random.default_rng(seed))
+        base = _solve_or_none(build_derived(spec), "ode")
+        assume(base is not None)
+        rescaled = SystemSpec(G=4.0**j * spec.G, C=2.0**j * spec.C, phi=spec.phi, eta=spec.eta)
+        assert np.array_equal(solve_are(build_derived(rescaled), method="ode").V_inf, base)
 
 
 class TestExistenceProbe:
