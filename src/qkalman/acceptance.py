@@ -194,22 +194,28 @@ def _crit_example2_product(fault: str | None) -> tuple[bool, str]:
 
 def _crit_theorem_bound(fault: str | None) -> tuple[bool, str]:
     entries = [e for e in _population(fault) if e.steady is not None]
-    worst = np.inf
+    worst = np.inf  # in units of hbar^2
     for e in entries:
         det = float(np.linalg.det(e.steady.V_inf))
-        worst = min(worst, det - theorem_bound(e.model))
+        worst = min(worst, (det - theorem_bound(e.model)) / e.model.hbar**2)
     ok = len(entries) >= 200 and worst >= -1e-10
-    return ok, f"{len(entries)}/{POPULATION_SIZE} specs with steady state, min margin {worst:.3e} (tol -1e-10)"
+    return ok, (
+        f"{len(entries)}/{POPULATION_SIZE} specs with steady state, "
+        f"min margin {worst:.3e} hbar^2 (tol -1e-10 hbar^2)"
+    )
 
 
 def _crit_heisenberg(fault: str | None) -> tuple[bool, str]:
     entries = [e for e in _population(fault) if e.steady is not None]
-    worst = np.inf
+    worst = np.inf  # in units of hbar^2
     for e in entries:
         det = float(np.linalg.det(e.steady.V_inf))
-        worst = min(worst, det - 0.25 * e.model.hbar**2)
+        worst = min(worst, (det - 0.25 * e.model.hbar**2) / e.model.hbar**2)
     ok = len(entries) >= 200 and worst >= -1e-10
-    return ok, f"min det(V_inf) - hbar^2/4 = {worst:.3e} over {len(entries)} specs (tol -1e-10)"
+    return ok, (
+        f"min det(V_inf) - hbar^2/4 = {worst:.3e} hbar^2 over {len(entries)} specs "
+        f"(tol -1e-10 hbar^2)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -337,10 +343,14 @@ def _crit_proof_identities(fault: str | None) -> tuple[bool, str]:
 # criterion 6: the two steady-state routes agree
 
 def _crit_cross_solver(fault: str | None) -> tuple[bool, str]:
+    # A spec whose steady state fell back to the flow limit has no Hamiltonian
+    # solution to compare; it counts as not compared, like an ODE failure.
     entries = [e for e in _population(fault) if e.steady is not None]
+    compared = [e for e in entries if e.steady.method == "hamiltonian"]
+    fallbacks = len(entries) - len(compared)
     worst = 0.0
     ode_failures = 0
-    for e in entries:
+    for e in compared:
         try:
             ode = solve_are(e.model, method="ode")
         except NoSteadySolution:
@@ -349,9 +359,10 @@ def _crit_cross_solver(fault: str | None) -> tuple[bool, str]:
         ham = e.steady
         rel = np.abs(ham.V_inf - ode.V_inf).max() / (1.0 + np.abs(ham.V_inf).max())
         worst = max(worst, float(rel))
-    ok = worst <= 1e-8 and ode_failures <= 0.02 * len(entries)
+    ok = worst <= 1e-8 and fallbacks + ode_failures <= 0.02 * len(entries)
     return ok, (
-        f"{len(entries) - ode_failures}/{len(entries)} specs converged on both routes, "
+        f"{len(compared) - ode_failures}/{len(entries)} specs converged on both routes "
+        f"({fallbacks} fell back to the flow limit, {ode_failures} failed on the ODE route), "
         f"worst relative disagreement {worst:.3e} (tol 1e-8)"
     )
 
@@ -363,7 +374,8 @@ def _mc_case(spec: SystemSpec, fault: str | None) -> tuple[bool, str]:
     if fault is not None:
         raise NotImplementedError("fault hooks are not wired into the simulator")
     cfg = SimConfig(dt=1e-3, t_final=5.0, seed=MC_SEED, ensemble=2000)
-    stats = monte_carlo(spec, cfg)
+    flow = integrate_riccati(build_derived(spec), 0.5 * spec.hbar * np.eye(2), cfg.t_final, cfg.dt)
+    stats = monte_carlo(spec, cfg, flow)
     ok = True
     worst = 0.0
     for j in range(len(stats.checkpoint_times)):
@@ -372,7 +384,6 @@ def _mc_case(spec: SystemSpec, fault: str | None) -> tuple[bool, str]:
         dev = np.abs(stats.sample_error_cov[j] - ref)
         ok = ok and bool(np.all(dev <= tol))
         worst = max(worst, float((dev / tol).max()))
-    flow = integrate_riccati(build_derived(spec), 0.5 * spec.hbar * np.eye(2), cfg.t_final, cfg.dt)
     traj = simulate_trajectory(spec, cfg, flow)
     mean, var = innovation_stats(traj)
     n = len(traj.innovations)

@@ -11,14 +11,16 @@ K_t = sqrt(eta) * ((2/hbar) V_t Cr + Sigma^T Ci).
 Internally the truth/filter pair is propagated as (estimate, error): the
 error recursion contains no drive term, so error sequences are exactly
 (bitwise) invariant under any open-loop drive, and the true state is
-reconstructed as estimate + error.
+reconstructed as estimate + error. One streaming kernel advances the error
+of a single trajectory and of a stack of ensemble members alike; it draws
+noise in time blocks, so memory is O(chunk * block) whatever the horizon.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Literal
+from typing import Any, Iterator, Literal
 
 import numpy as np
 
@@ -34,6 +36,8 @@ __all__ = [
     "monte_carlo",
     "innovation_stats",
 ]
+
+_MEMBER_CHUNK, _TIME_BLOCK = 500, 1024  # trajectories per stack, noise steps per draw
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,34 @@ def _gains(model: DerivedModel, flow: RiccatiFlow, n: int) -> np.ndarray:
     )
 
 
-def _substreams(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
+def _error_steps(
+    model: DerivedModel, K: np.ndarray, e: np.ndarray, rngs: list | None, dt: float
+) -> Iterator[tuple[int, np.ndarray, Any]]:
+    """Advance the error ``e``, of shape (2,) or an (m, 2) stack, n = len(K) steps.
+
+    e <- e + A e dt + dw - K_k nu with nu = M e dt + dv and (dw, dv) =
+    sqrt(dt) L z, z drawn from member i's ``rngs[i]`` in blocks of
+    ``_TIME_BLOCK`` steps (bit for bit one whole-path draw), or zero if
+    ``rngs`` is None. Yields (k, e_{k+1}, nu_k) for k = 0..n-1.
+    """
+    A_T, M, LT, scale = model.A.T, model.M, _joint_noise_factor(model).T, np.sqrt(dt)
+    n = len(K)
+    start = 0
+    while start < n:
+        # a lone last step joins the block before it: numpy sends a one-row
+        # product to gemv, which rounds unlike the gemm of a whole-path draw
+        b = n - start if n - start <= _TIME_BLOCK + 1 else _TIME_BLOCK
+        shape = (b, *e.shape[:-1], 3)
+        if rngs is None:
+            W = np.zeros(shape)
+        else:
+            z = np.stack([r.standard_normal((b, 3)) for r in rngs], axis=1)
+            W = (z.reshape(-1, 3) @ LT * scale).reshape(shape)
+        for k, dw, dv in zip(range(start, start + b), W[..., :2], W[..., 2]):
+            nu = (e @ M) * dt + dv
+            e = e + (e @ A_T) * dt + dw - nu[..., None] * K[k]
+            yield k, e, nu
+        start += b
 
 
 def simulate_trajectory(
@@ -217,8 +247,8 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Simulate one trajectory of the mode and its filter.
 
-    The trajectory uses substream 0 of the master seed, so it coincides
-    with ensemble member 0 of :func:`monte_carlo` under the same config.
+    The trajectory uses substream 0 of the master seed, so it coincides, to
+    rounding, with member 0 of :func:`monte_carlo` under the same config.
     The filter mean starts at zero; the initial error is drawn from
     N(0, V_flow.values[0]) unless ``e0`` is given.
 
@@ -229,42 +259,26 @@ def simulate_trajectory(
     """
     model = build_derived(spec)
     _check_flow(V_flow, cfg)
-    n = cfg.n_steps
-    dt = cfg.dt
+    n, dt = cfg.n_steps, cfg.dt
     K = _gains(model, V_flow, n)
     if gain_override is not None:
         K = np.broadcast_to(np.asarray(gain_override, dtype=float), (n, 2))
-    L = _joint_noise_factor(model)
     drive = cfg.drive if cfg.drive is not None else Drive()
     times = np.arange(n + 1) * dt
-    u = drive.u(times[:n])
-    Bu = np.outer(u, drive.B) * dt  # (n, 2) drive increments
+    Bu = np.outer(drive.u(times[:n]), drive.B) * dt  # (n, 2) drive increments
 
-    rng = np.random.default_rng(_substreams(cfg.seed, 1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     L0 = _psd_factor(V_flow.values[0], "initial covariance")
-    if e0 is None:
-        e = L0 @ rng.standard_normal(2)
-    else:
-        e = np.array(e0, dtype=float)
-    if zero_noise:
-        W = np.zeros((n, 3))
-    else:
-        W = rng.standard_normal((n, 3)) @ L.T * np.sqrt(dt)
+    e = L0 @ rng.standard_normal(2) if e0 is None else np.array(e0, dtype=float)
 
-    A, M, R = model.A, model.M, model.R
-    sqrt_R_dt = np.sqrt(R * dt)
+    A, M = model.A, model.M
     xhat = np.zeros(2)
-    err = np.empty((n + 1, 2))
-    xh = np.empty((n + 1, 2))
-    dy = np.empty(n)
-    innov = np.empty(n)
+    err, xh = np.empty((2, n + 1, 2))
+    dy, nus = np.empty((2, n))
     err[0], xh[0] = e, xhat
-    for k in range(n):
-        dw, dv = W[k, :2], W[k, 2]
-        nu = (M @ e) * dt + dv
+    for k, e, nu in _error_steps(model, K, e, None if zero_noise else [rng], dt):
+        nus[k] = nu
         dy[k] = (M @ xhat) * dt + nu
-        innov[k] = nu / sqrt_R_dt
-        e = e + (A @ e) * dt + dw - K[k] * nu
         xhat = xhat + (A @ xhat) * dt + Bu[k] + K[k] * nu
         err[k + 1], xh[k + 1] = e, xhat
     return Trajectory(
@@ -273,7 +287,7 @@ def simulate_trajectory(
         x_hat=xh,
         err=err,
         dy=dy,
-        innovations=innov,
+        innovations=nus / np.sqrt(model.R * dt),
         zero_noise=zero_noise,
     )
 
@@ -282,15 +296,14 @@ def monte_carlo(
     spec: SystemSpec,
     cfg: SimConfig,
     V_flow: RiccatiFlow | None = None,
-    chunk: int = 500,
 ) -> EnsembleStats:
     """Ensemble error statistics against the covariance flow.
 
     Runs ``cfg.ensemble`` independent trajectories (substream i for
-    trajectory i) and collects the sample error covariance at the
-    checkpoints {t_final/4, t_final/2, t_final} plus pooled innovation
-    moments. Trajectories are combined in index order, so the result is
-    independent of chunking.
+    trajectory i), ``_MEMBER_CHUNK`` at a time, and collects the sample
+    error covariance at the checkpoints {t_final/4, t_final/2, t_final}
+    plus pooled innovation moments. Trajectories are combined in index
+    order, so chunking changes the result only by rounding.
     """
     if cfg.ensemble < 2:
         raise ValueError("insufficient ensemble: statistics need at least 2 trajectories")
@@ -299,37 +312,24 @@ def monte_carlo(
         V0 = 0.5 * spec.hbar * np.eye(2)
         V_flow = integrate_riccati(model, V0, cfg.t_final, cfg.dt)
     _check_flow(V_flow, cfg)
-    n = cfg.n_steps
-    dt = cfg.dt
+    n, dt = cfg.n_steps, cfg.dt
     K = _gains(model, V_flow, n)
-    L = _joint_noise_factor(model)
     L0 = _psd_factor(V_flow.values[0], "initial covariance")
-    A, M, R = model.A, model.M, model.R
-    sqrt_R_dt = np.sqrt(R * dt)
+    sqrt_R_dt = np.sqrt(model.R * dt)
 
     checkpoints = sorted({max(1, n // 4), max(1, n // 2), n})
     sums = {k: np.zeros(2) for k in checkpoints}
     outer_sums = {k: np.zeros((2, 2)) for k in checkpoints}
-    inn_sum = 0.0
-    inn_sq = 0.0
-    inn_count = 0
+    inn_sum = inn_sq = 0.0
 
-    children = _substreams(cfg.seed, cfg.ensemble)
-    for start in range(0, cfg.ensemble, chunk):
-        rngs = [np.random.default_rng(children[i]) for i in range(start, min(start + chunk, cfg.ensemble))]
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.ensemble)
+    for start in range(0, cfg.ensemble, _MEMBER_CHUNK):
+        rngs = [np.random.default_rng(c) for c in children[start : start + _MEMBER_CHUNK]]
         e = np.stack([r.standard_normal(2) for r in rngs]) @ L0.T
-        Z = np.stack([r.standard_normal((n, 3)) for r in rngs])
-        W = Z @ L.T * np.sqrt(dt)
-        m_size = e.shape[0]
-        for k in range(n):
-            dw = W[:, k, :2]
-            dv = W[:, k, 2]
-            nu = (e @ M) * dt + dv
-            e = e + (e @ A.T) * dt + dw - nu[:, None] * K[k]
+        for k, e, nu in _error_steps(model, K, e, rngs, dt):
             inn = nu / sqrt_R_dt
             inn_sum += inn.sum()
             inn_sq += float(inn @ inn)
-            inn_count += m_size
             if (k + 1) in sums:
                 sums[k + 1] += e.sum(axis=0)
                 outer_sums[k + 1] += e.T @ e
@@ -343,8 +343,8 @@ def monte_carlo(
         cov[j] = 0.5 * (c + c.T)
         d = np.diag(cov[j])
         se[j] = np.sqrt((np.outer(d, d) + cov[j] ** 2) / (N - 1))
-    inn_mean = inn_sum / inn_count
-    inn_var = inn_sq / inn_count - inn_mean * inn_mean
+    inn_mean = inn_sum / (N * n)
+    inn_var = inn_sq / (N * n) - inn_mean * inn_mean
     return EnsembleStats(
         checkpoint_times=np.array([k * dt for k in checkpoints]),
         sample_error_cov=cov,

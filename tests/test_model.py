@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkalman import (
     SIGMA,
@@ -13,8 +15,10 @@ from qkalman import (
     load_spec_file,
     spec_from_dict,
     spec_to_dict,
+    theorem_bound,
     validate_spec,
 )
+from qkalman.bounds import KAPPA_DEADBAND
 from qkalman.closedform import Example1Params, Example2Params, example1_spec, example2_spec
 
 from conftest import random_spec
@@ -128,6 +132,18 @@ class TestModelInvariants:
             assert np.ptp(kappas) <= 1e-12 * scale
             assert np.abs(np.ptp(np.stack(As), axis=0)).max() <= 1e-12 * (1 + np.abs(As[0]).max())
             assert np.abs(np.ptp(np.stack(Qs), axis=0)).max() <= 1e-12 * (1 + np.abs(Qs[0]).max())
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+    def test_kappa_and_bound_phase_invariant(self, seed, phi):
+        base = random_spec(np.random.default_rng(seed))
+        spec = SystemSpec(G=base.G, C=base.C, phi=phi, eta=base.eta)
+        kappa = compute_kappa(spec)
+        tol = 1e-12 * (1.0 + float(np.sum(np.abs(spec.C) ** 2)))
+        assume(abs(abs(kappa) - KAPPA_DEADBAND) > tol)
+        model = build_derived(spec)
+        assert abs(model.kappa - kappa) <= tol
+        assert theorem_bound(model) == theorem_bound(build_derived(base))
 
     def test_surrogate_consistency_identities(self, rng):
         for _ in range(500):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +15,12 @@ from qkalman import (
     simulate_trajectory,
     solve_are,
 )
+from qkalman import sim
 from qkalman.closedform import Example1Params, Example2Params, example1_spec, example2_spec
+
+
+#: Dense A, M and noise factor, so that the rounding order of every product shows.
+DENSE = SystemSpec(G=np.array([[0.3, -1.1], [-1.1, 0.7]]), C=np.array([0.8 + 0.4j, -0.5 + 1.2j]), phi=0.77, eta=0.6)
 
 
 def vacuum_flow(spec, t_final, dt):
@@ -200,27 +207,96 @@ class TestMonteCarlo:
         tol = np.maximum(0.05 * np.abs(V_inf), 3.0 * stats.standard_errors[-1])
         assert np.all(np.abs(stats.sample_error_cov[-1] - V_inf) <= tol)
 
-    def test_chunking_invariance(self):
-        spec = example1_spec(Example1Params(eta=1.0))
+    def test_block_and_chunk_constants(self, monkeypatch):
+        spec = DENSE
         cfg = SimConfig(dt=1e-2, t_final=1.0, seed=5, ensemble=64)
-        a = monte_carlo(spec, cfg, chunk=64)
-        b = monte_carlo(spec, cfg, chunk=7)
-        assert np.allclose(a.sample_error_cov, b.sample_error_cov, rtol=0, atol=1e-12)
-        assert a.innovation_var == pytest.approx(b.innovation_var, abs=1e-12)
+        flow = vacuum_flow(spec, cfg.t_final, cfg.dt)
+
+        def stats(name, value):
+            monkeypatch.setattr(sim, name, value)
+            s = monte_carlo(spec, cfg, flow)
+            return s.sample_error_cov, s.standard_errors, s.innovation_mean, s.innovation_var
+
+        whole = stats("_TIME_BLOCK", cfg.n_steps + 50)
+        for block in (1, 7, cfg.n_steps):
+            for a, b in zip(stats("_TIME_BLOCK", block), whole):
+                assert np.array_equal(a, b), block
+        a = stats("_MEMBER_CHUNK", 64)
+        b = stats("_MEMBER_CHUNK", 7)
+        assert np.allclose(a[0], b[0], rtol=0, atol=1e-12)
+        assert a[3] == pytest.approx(b[3], abs=1e-12)
+
+    def test_memory_independent_of_horizon(self):
+        spec = example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=0.5))
+
+        def peak(t_final):
+            cfg = SimConfig(dt=1e-3, t_final=t_final, seed=1, ensemble=50)
+            flow = vacuum_flow(spec, t_final, cfg.dt)
+            tracemalloc.start()
+            try:
+                monte_carlo(spec, cfg, flow)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40.0) < 2 * peak(4.0)
 
     def test_member_zero_matches_single_trajectory(self):
-        # substream plumbing: the sample error at a checkpoint of a 2-member
-        # ensemble reflects the same member-0 noise as simulate_trajectory
-        spec = example1_spec(Example1Params(eta=1.0))
-        cfg = SimConfig(dt=1e-2, t_final=1.0, seed=31, ensemble=2)
+        spec = DENSE
+        cfg = SimConfig(dt=1e-3, t_final=2.5, seed=31)
         flow = vacuum_flow(spec, cfg.t_final, cfg.dt)
+        model = build_derived(spec)
+        n, dt = cfg.n_steps, cfg.dt
+        assert n > 2 * sim._TIME_BLOCK
+        # reference: the recursion written out with 1-D arrays and one
+        # whole-path noise draw, independent of the streaming kernel
+        K = sim._gains(model, flow, n)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        e = sim._psd_factor(flow.values[0], "initial covariance") @ rng.standard_normal(2)
+        W = rng.standard_normal((n, 3)) @ sim._joint_noise_factor(model).T * np.sqrt(dt)
+        err, innov = [e], []
+        for k in range(n):
+            dw, dv = W[k, :2], W[k, 2]
+            nu = (model.M @ e) * dt + dv
+            innov.append(nu / np.sqrt(model.R * dt))
+            e = e + (model.A @ e) * dt + dw - K[k] * nu
+            err.append(e)
         traj = simulate_trajectory(spec, cfg, flow)
-        # reconstruct member errors from the ensemble mean/cov is overkill;
-        # instead check determinism of the pooled innovation moments
-        s1 = monte_carlo(spec, cfg, flow)
-        s2 = monte_carlo(spec, cfg, flow)
-        assert s1.innovation_mean == s2.innovation_mean
-        assert len(traj.innovations) == cfg.n_steps
+        assert np.array_equal(traj.err, np.array(err))
+        assert np.array_equal(traj.innovations, np.array(innov))
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_stacked_members_match_single_runs(self, dense):
+        # Each row of the trapped particle's A and M has a zero, so every
+        # product in the recursion is exact and member i of a stack equals the
+        # lone run on substream i bit for bit. With dense A and M, numpy's
+        # one-row products (gemv, dot) and many-row products (gemm) round
+        # differently, and the two agree to rounding.
+        spec = DENSE if dense else example1_spec(Example1Params(eta=1.0))
+        cfg = SimConfig(dt=1e-3, t_final=2.5, seed=31, ensemble=3)
+        flow = vacuum_flow(spec, cfg.t_final, cfg.dt)
+        model = build_derived(spec)
+        n, dt = cfg.n_steps, cfg.dt
+        K = sim._gains(model, flow, n)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.ensemble)
+
+        def run(e, members):
+            rngs = [np.random.default_rng(children[i]) for i in members]
+            for r in rngs:
+                r.standard_normal(2)  # the initial-error draw
+            steps = list(sim._error_steps(model, K, e, rngs, dt))
+            return np.array([s[1] for s in steps]), np.array([s[2] for s in steps])
+
+        e0 = np.random.default_rng(0).standard_normal((cfg.ensemble, 2))
+        stack_err, stack_nu = run(e0, range(cfg.ensemble))
+        for i in range(cfg.ensemble):
+            err, nu = run(e0[i], [i])
+            if not dense:
+                assert np.array_equal(stack_err[:, i], err)
+                assert np.array_equal(stack_nu[:, i], nu)
+            else:
+                assert np.abs(stack_err[:, i] - err).max() <= 1e-12 * np.abs(err).max()
+                assert np.abs(stack_nu[:, i] - nu).max() <= 1e-12 * np.abs(nu).max()
 
     def test_drive_does_not_change_error_statistics(self):
         spec = example1_spec(Example1Params(eta=1.0))
