@@ -9,7 +9,9 @@ broken physics.
 The random-population checks (bound, Heisenberg floor, proof identities,
 cross-solver agreement, stability) share one cached population of 1000
 specs drawn with G, Re C, Im C entries uniform in [-2, 2], eta uniform in
-(0, 1] and phi uniform in [0, 2*pi).
+(0, 1] and phi uniform in [0, 2*pi). The proof-identities row promotes each
+float64 model exactly to 60 digits and runs the float code's Newton step and
+identity kernel on it; the identities then hold to about 1e-34.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
+    _projected_identities,
     classify_stability,
     det_quotient_identity,
     lemma_f_bound,
@@ -35,8 +38,9 @@ from .closedform import (
     example2_product,
     example2_spec,
 )
-from .model import DerivedModel, SIGMA, SystemSpec, build_derived
+from .model import DerivedModel, SystemSpec, build_derived
 from .riccati import NoSteadySolution, SteadyState, integrate_riccati, solve_are
+from .riccati import _newton_step, _residual, _sym
 from .sim import Drive, SimConfig, innovation_stats, monte_carlo, simulate_trajectory
 
 __all__ = ["CriterionResult", "CRITERION_NAMES", "run_criteria", "POPULATION_SEED"]
@@ -221,50 +225,35 @@ def _crit_heisenberg(fault: str | None) -> tuple[bool, str]:
 # ----------------------------------------------------------------------
 # criterion 5: projected steady-state identities and the scalar lemma
 
-def _mp_matrix(a, mp):
-    return mp.matrix([[mp.mpf(repr(float(x))) for x in row] for row in np.asarray(a, dtype=float)])
+def _refine_reference(a, d, n, v, steps: int = 10):
+    """Newton-refine the steady triple ``v`` at the working precision.
 
-
-def _mp_refine(mp, A_, D_, N_, V_, iters=10):
-    for _ in range(iters):
-        R = A_ * V_ + V_ * A_.T + D_ - V_ * N_ * V_
-        if max(abs(R[i, j]) for i in range(2) for j in range(2)) < mp.mpf("1e-34"):
-            break
-        Ac = A_ - V_ * N_
-        a, b, c, d = Ac[0, 0], Ac[0, 1], Ac[1, 0], Ac[1, 1]
-        lin = mp.matrix([[2 * a, 2 * b, 0], [c, a + d, b], [0, 2 * c, 2 * d]])
-        x = mp.lu_solve(lin, mp.matrix([-R[0, 0], -R[0, 1], -R[1, 1]]))
-        V_ = V_ + mp.matrix([[x[0], x[1]], [x[1], x[2]]])
-        V_ = (V_ + V_.T) / 2
-    return V_
-
-
-def _mp_model(mp, spec: SystemSpec):
-    """Exact-precision A', D, N and quadratures from the primitive inputs.
-
-    Rebuilding the model in mp (rather than promoting the float64 matrices)
-    keeps every identity consistent at working precision; float64 rounding
-    of the derived matrices would otherwise be amplified by the huge
-    steady-state entries of ill-conditioned specs.
+    Arguments as for :func:`qkalman.riccati._residual`. Returns the first
+    iterate with residual below 1e-34, or None when ``steps`` steps (or a
+    singular step) do not get there: an unconverged reference is none.
     """
-    sig = _mp_matrix(SIGMA, mp)
-    phi = mp.mpf(repr(spec.phi))
-    cphi, sphi = mp.cos(phi), mp.sin(phi)
-    re = [mp.mpf(repr(float(x))) for x in spec.C.real]
-    im = [mp.mpf(repr(float(x))) for x in spec.C.imag]
-    cr = mp.matrix([re[j] * cphi + im[j] * sphi for j in range(2)])
-    ci = mp.matrix([im[j] * cphi - re[j] * sphi for j in range(2)])
-    eta = mp.mpf(repr(spec.eta))
-    hbar = mp.mpf(repr(spec.hbar))
-    G = _mp_matrix(spec.G, mp)
 
-    def outer(x, y):
-        return mp.matrix([[x[0] * y[0], x[0] * y[1]], [x[1] * y[0], x[1] * y[1]]])
+    def converged(v):
+        return max(map(abs, _residual(a, d, n, v))) < 1e-34
 
-    A_ = sig * (G + outer(cr, ci) + (2 * eta - 1) * outer(ci, cr))
-    D_ = hbar * sig.T * (outer(cr, cr) + (1 - eta) * outer(ci, ci)) * sig
-    N_ = (4 * eta / hbar) * outer(cr, cr)
-    return sig, A_, D_, N_, cr, ci, eta, hbar
+    for _ in range(steps):
+        if converged(v):
+            return v
+        v = _newton_step(a, d, n, v)
+        if v is None:
+            return None
+    return v if converged(v) else None
+
+
+def _promote(mp, model: DerivedModel):
+    """(A', D, N, Cr, Ci, eta, hbar) of the float64 model, promoted exactly to
+    mpf, except N = (4 eta/hbar) Cr Cr^T: formed at the working precision,
+    it stays exactly rank one, as the projected identities assume."""
+    a, cr, ci = ([mp.mpf(x) for x in X.flat] for X in (model.Aprime, model.Cr, model.Ci))
+    eta, hbar = mp.mpf(model.eta), mp.mpf(model.hbar)
+    k = 4 * eta / hbar
+    n = (k * cr[0] * cr[0], k * cr[0] * cr[1], k * cr[1] * cr[1])
+    return a, tuple(map(mp.mpf, _sym(model.D.tolist()))), n, cr, ci, eta, hbar
 
 
 def _crit_proof_identities(fault: str | None) -> tuple[bool, str]:
@@ -275,47 +264,23 @@ def _crit_proof_identities(fault: str | None) -> tuple[bool, str]:
     worst_quot = 0.0
     worst_d1 = 0.0
     checked = 0
+    unrefined = 0
     with mp.workdps(60):
         for e in entries:
-            model = e.model
-            s = float(np.linalg.norm(model.Cr))
-            if s < 1e-12:
+            if np.linalg.norm(e.model.Cr) < 1e-12:
                 continue
-            sig, A_, D_, N_, cr, ci, eta, hbar = _mp_model(mp, e.spec)
-            V_ = _mp_refine(mp, A_, D_, N_, _mp_matrix(e.steady.V_inf, mp))
-            norm = mp.sqrt(cr[0] ** 2 + cr[1] ** 2)
-            cr = cr / norm
-            cb = sig.T * cr
-            v1 = (cr.T * V_ * cr)[0, 0]
-            v2 = (cr.T * V_ * cb)[0, 0]
-            v3 = (cb.T * V_ * cb)[0, 0]
-            a1 = (cr.T * A_ * cr)[0, 0]
-            a2 = (cr.T * A_ * cb)[0, 0]
-            a3 = (cb.T * A_ * cr)[0, 0]
-            a4 = (cb.T * A_ * cb)[0, 0]
-            d1 = (cr.T * D_ * cr)[0, 0]
-            d2 = (cr.T * D_ * cb)[0, 0]
-            d3 = (cb.T * D_ * cb)[0, 0]
-            q = 4 * eta / hbar * norm**2
-            r1 = 2 * a1 * v1 + 2 * a2 * v2 + d1 - q * v1**2
-            r2 = a3 * v1 + (a1 + a4) * v2 + a2 * v3 + d2 - q * v1 * v2
-            r3 = 2 * a3 * v2 + 2 * a4 * v3 + d3 - q * v2**2
-            det = v1 * v3 - v2**2
-            quot = (d3 * v1**2 - 2 * d2 * v1 * v2 + d1 * v2**2) / (
-                q * (v1**2 - 2 * (a1 + a4) * v1 / q - d1 / q)
-            )
-            kap_hat = (cr.T * sig * ci)[0, 0]
-            worst_eq = max(worst_eq, float(abs(r1)), float(abs(r2)), float(abs(r3)))
-            worst_quot = max(worst_quot, float(abs(quot - det)))
-            worst_d1 = max(worst_d1, float(abs(d1 - hbar * (1 - eta) * kap_hat**2)))
+            # the float64 op must agree on its own d1 identity for every spec
+            worst_d1 = max(worst_d1, det_quotient_identity(e.model, e.steady.V_inf).d1_residual)
+            a, d, n, cr, ci, eta, hbar = _promote(mp, e.model)
+            v = _refine_reference(a, d, n, tuple(map(mp.mpf, _sym(e.steady.V_inf.tolist()))))
+            if v is None:
+                unrefined += 1
+                continue
+            rep = _projected_identities(cr, ci, a, d, v, eta, hbar, mp.sqrt)
+            worst_eq = max(worst_eq, float(max(rep.equation_residuals)))
+            worst_quot = max(worst_quot, float(rep.quotient_residual))
+            worst_d1 = max(worst_d1, float(rep.d1_residual))
             checked += 1
-
-    # the float64 op must agree on its own d1 identity for every spec
-    for e in entries:
-        if np.linalg.norm(e.model.Cr) < 1e-12:
-            continue
-        rep = det_quotient_identity(e.model, e.steady.V_inf)
-        worst_d1 = max(worst_d1, rep.d1_residual)
 
     rng = np.random.default_rng(POPULATION_SEED + 1)
     lemma_ok = True
@@ -330,9 +295,11 @@ def _crit_proof_identities(fault: str | None) -> tuple[bool, str]:
         for vv in v[:: len(v) // 7]:
             lemma_ok = lemma_ok and lemma_f_bound(a, b, float(vv))
 
-    ok = checked > 0 and worst_eq <= 1e-9 and worst_quot <= 1e-9 and worst_d1 <= 1e-12 and lemma_ok
+    ok = checked > 0 and unrefined == 0 and worst_eq <= 1e-9 and worst_quot <= 1e-9
+    ok = ok and worst_d1 <= 1e-12 and lemma_ok
     detail = (
-        f"{checked} specs: max projected-equation residual {worst_eq:.2e}, quotient residual "
+        f"{checked} specs ({unrefined} without a 60-digit reference below 1e-34): "
+        f"max projected-equation residual {worst_eq:.2e}, quotient residual "
         f"{worst_quot:.2e} (tol 1e-9), d1 residual {worst_d1:.2e} (tol 1e-12); "
         f"lemma scan {'ok' if lemma_ok else 'VIOLATED'}"
     )

@@ -13,13 +13,14 @@ used to derive the bound, as executable checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Literal
 
 import numpy as np
 
-from .model import SIGMA, DerivedModel, SystemSpec, build_derived
-from .riccati import NoSteadySolution, SteadyState, solve_are
+from .model import DerivedModel, SystemSpec, build_derived
+from .riccati import NoSteadySolution, SteadyState, _sym, solve_are
 
 __all__ = [
     "KAPPA_DEADBAND",
@@ -155,6 +156,46 @@ def theorem_bound(model: DerivedModel) -> float:
     return hbar * hbar / 4.0
 
 
+def _projected_identities(cr, ci, a, d, v, eta, hbar, sqrt) -> ProofIdentityReport:
+    """:func:`det_quotient_identity` on scalars: Cr, Ci as pairs, A' row-major,
+    D and V_inf as triples (x11, x12, x22). Only +, -, *, / and the given
+    ``sqrt`` are used, so the report's numbers have the type of the inputs:
+    float, or ``mpmath.mpf`` in the 60-digit acceptance check."""
+    s = sqrt(cr[0] * cr[0] + cr[1] * cr[1])
+    if s < 1e-12:
+        raise DegenerateBasis("Cr vanishes; projected basis undefined")
+    c = (cr[0] / s, cr[1] / s)  # chat
+    b = (-c[1], c[0])  # cbar = Sigma^T chat
+    D, V = (d[0], d[1], d[1], d[2]), (v[0], v[1], v[1], v[2])
+
+    def form(x, m, y):  # x^T M y, M row-major
+        return x[0] * (m[0] * y[0] + m[1] * y[1]) + x[1] * (m[2] * y[0] + m[3] * y[1])
+
+    v1, v2, v3 = form(c, V, c), form(c, V, b), form(b, V, b)
+    a1, a2, a3, a4 = form(c, a, c), form(c, a, b), form(b, a, c), form(b, a, b)
+    d1, d2, d3 = form(c, D, c), form(c, D, b), form(b, D, b)
+    q = 4 * eta / hbar * s * s
+
+    r1 = 2 * a1 * v1 + 2 * a2 * v2 + d1 - q * v1 * v1
+    r2 = a3 * v1 + (a1 + a4) * v2 + a2 * v3 + d2 - q * v1 * v2
+    r3 = 2 * a3 * v2 + 2 * a4 * v3 + d3 - q * v2 * v2
+
+    det_V = v1 * v3 - v2 * v2
+    denominator = v1 * v1 - 2 * (a1 + a4) * v1 / q - d1 / q
+    numerator = d3 * v1 * v1 - 2 * d2 * v1 * v2 + d1 * v2 * v2
+    quotient = numerator / (q * denominator)
+
+    kappa_hat = c[0] * ci[1] - c[1] * ci[0]  # chat^T Sigma Ci
+    d1_expected = hbar * (1 - eta) * kappa_hat * kappa_hat
+
+    return ProofIdentityReport(
+        v=(v1, v2, v3), a=(a1, a2, a3, a4), d=(d1, d2, d3), q=q, det_V=det_V, quotient=quotient,
+        equation_residuals=(abs(r1), abs(r2), abs(r3)),
+        quotient_residual=abs(quotient - det_V),
+        d1_residual=abs(d1 - d1_expected),
+    )
+
+
 def det_quotient_identity(model: DerivedModel, V_inf: np.ndarray) -> ProofIdentityReport:
     """Evaluate the projected steady-state identities at a steady solution.
 
@@ -167,44 +208,9 @@ def det_quotient_identity(model: DerivedModel, V_inf: np.ndarray) -> ProofIdenti
     DegenerateBasis
         If ||Cr|| < 1e-12.
     """
-    s = float(np.linalg.norm(model.Cr))
-    if s < 1e-12:
-        raise DegenerateBasis("Cr vanishes; projected basis undefined")
-    chat = model.Cr / s
-    cbar = SIGMA.T @ chat
-    T = np.vstack([chat, cbar])
-
-    V = np.asarray(V_inf, dtype=float)
-    v1, v2, v3 = float(chat @ V @ chat), float(chat @ V @ cbar), float(cbar @ V @ cbar)
-    Ab = T @ model.Aprime @ T.T
-    Db = T @ model.D @ T.T
-    a1, a2, a3, a4 = float(Ab[0, 0]), float(Ab[0, 1]), float(Ab[1, 0]), float(Ab[1, 1])
-    d1, d2, d3 = float(Db[0, 0]), float(Db[0, 1]), float(Db[1, 1])
-    q = (4.0 * model.eta / model.hbar) * s * s
-
-    r1 = 2 * a1 * v1 + 2 * a2 * v2 + d1 - q * v1 * v1
-    r2 = a3 * v1 + (a1 + a4) * v2 + a2 * v3 + d2 - q * v1 * v2
-    r3 = 2 * a3 * v2 + 2 * a4 * v3 + d3 - q * v2 * v2
-
-    det_V = v1 * v3 - v2 * v2
-    denominator = v1 * v1 - 2.0 * (a1 + a4) * v1 / q - d1 / q
-    numerator = d3 * v1 * v1 - 2.0 * d2 * v1 * v2 + d1 * v2 * v2
-    quotient = numerator / (q * denominator)
-
-    kappa_hat = float(chat @ SIGMA @ model.Ci)
-    d1_expected = model.hbar * (1.0 - model.eta) * kappa_hat * kappa_hat
-
-    return ProofIdentityReport(
-        v=(v1, v2, v3),
-        a=(a1, a2, a3, a4),
-        d=(d1, d2, d3),
-        q=q,
-        det_V=det_V,
-        quotient=quotient,
-        equation_residuals=(abs(r1), abs(r2), abs(r3)),
-        quotient_residual=abs(quotient - det_V),
-        d1_residual=abs(d1 - d1_expected),
-    )
+    m, v = model, _sym(np.asarray(V_inf, dtype=float).tolist())
+    a, d, cr, ci = m.Aprime.ravel().tolist(), _sym(m.D.tolist()), m.Cr.tolist(), m.Ci.tolist()
+    return _projected_identities(cr, ci, a, d, v, m.eta, m.hbar, math.sqrt)
 
 
 def lemma_f_bound(a: float, b: float, v: float) -> bool:

@@ -16,8 +16,8 @@ one step at every step. :func:`solve_are` computes the unique stabilizing
 steady solution by two independent routes:
 
 * ``hamiltonian`` -- stable invariant subspace of the associated 4x4
-  Hamiltonian matrix (ordered real Schur form), then Newton polish with an
-  extended-precision residual;
+  Hamiltonian matrix (ordered real Schur form), then Newton polish: the
+  scalar step that the 60-digit acceptance check shares, on longdouble;
 * ``ode_limit``  -- the flow map from the vacuum covariance, doubled until
   the flow reaches its limit; exact up to rounding, with no polish.
 
@@ -135,9 +135,8 @@ class ExistenceProbe:
 
 def riccati_rhs(model: DerivedModel, V: np.ndarray) -> np.ndarray:
     """Right-hand side of the covariance ODE, symmetrized."""
-    N = model.quadratic_coefficient()
     V = np.asarray(V, dtype=float)
-    return symmetrize(model.Aprime @ V + V @ model.Aprime.T + model.D - V @ N @ V)
+    return symmetrize(_residual_matrix(model.Aprime, model.D, model.quadratic_coefficient(), V))
 
 
 def _hbar_units(model: DerivedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,44 +246,69 @@ def _residual_matrix(Ap, D, N, V):
     return Ap @ V + V @ Ap.T + D - V @ N @ V
 
 
+def _sym(X) -> tuple:
+    """The triple (x11, x12, x22) of a symmetric 2x2 array or nested list."""
+    return X[0][0], X[0][1], X[1][1]
+
+
+def _residual(a, d, n, v):
+    """Residual A'V + VA'^T + D - VNV as a triple, with A' = ``a`` row-major and
+    D, N, V the triples ``d``, ``n``, ``v``. Scalar +, -, * only, so it runs
+    unchanged on floats, ``np.longdouble`` and ``mpmath.mpf``."""
+    a11, a12, a21, a22 = a
+    v1, v2, v3 = v
+    m11, m12 = v1 * n[0] + v2 * n[1], v1 * n[1] + v2 * n[2]  # rows of VN
+    m21, m22 = v2 * n[0] + v3 * n[1], v2 * n[1] + v3 * n[2]
+    return (
+        2 * (a11 * v1 + a12 * v2) + d[0] - (m11 * v1 + m12 * v2),
+        (a11 * v2 + a12 * v3) + (a21 * v1 + a22 * v2) + d[1] - (m11 * v2 + m12 * v3),
+        2 * (a21 * v2 + a22 * v3) + d[2] - (m21 * v2 + m22 * v3),
+    )
+
+
+def _newton_step(a, d, n, v):
+    """One Newton step V + X on the residual, in the precision of the inputs.
+
+    Solves Ac X + X Ac^T = -R with Ac = A' - VN = [[p, q], [r, s]], i.e.
+    [[2p, 2q, 0], [r, p+s, q], [0, 2r, 2s]] x = -R, by Cramer's rule. Its
+    determinant is 4 tr(Ac) det(Ac); None when that is zero or not finite."""
+    b1, b2, b3 = (-x for x in _residual(a, d, n, v))
+    v1, v2, v3 = v
+    p, q = a[0] - (v1 * n[0] + v2 * n[1]), a[1] - (v1 * n[1] + v2 * n[2])
+    r, s = a[2] - (v2 * n[0] + v3 * n[1]), a[3] - (v2 * n[1] + v3 * n[2])
+    t = p + s
+    det = 2 * t * (p * s - q * r)  # half the 3x3 determinant
+    if not 0 < abs(det) < math.inf:
+        return None
+    x1 = ((s * t - q * r) * b1 - 2 * q * s * b2 + q * q * b3) / det
+    x2 = (2 * p * s * b2 - r * s * b1 - p * q * b3) / det
+    x3 = ((p * t - q * r) * b3 - 2 * p * r * b2 + r * r * b1) / det
+    return v1 + x1, v2 + x2, v3 + x3
+
+
 def _newton_polish(
     Ap: np.ndarray, D: np.ndarray, N: np.ndarray, V: np.ndarray, iters: int = 30
 ) -> np.ndarray:
     """Newton iterations on the steady-state residual, best-by-residual.
 
-    Each step solves the Lyapunov-type linearization
-    Ac X + X Ac^T = -resid with Ac = A' - V N (a 3x3 linear system for the
-    symmetric unknown). The residual is evaluated in extended precision so
-    ill-conditioned solutions polish well below the float64 residual floor.
+    Runs :func:`_newton_step` on ``np.longdouble`` scalars, so ill-conditioned
+    solutions polish well below the float64 residual floor. A singular
+    linearization ends the iterations.
     """
-    ApL = Ap.astype(np.longdouble)
-    DL = D.astype(np.longdouble)
-    NL = N.astype(np.longdouble)
-    VL = V.astype(np.longdouble)
-
-    def res(VL):
-        return ApL @ VL + VL @ ApL.T + DL - VL @ NL @ VL
-
-    best = VL
-    best_norm = np.abs(res(VL)).max()
+    a = tuple(Ap.astype(np.longdouble).ravel())
+    d, n, v = (_sym(X.astype(np.longdouble)) for X in (D, N, V))
+    best, best_norm = v, max(map(abs, _residual(a, d, n, v)))
     for _ in range(iters):
-        R = res(VL)
-        Ac = np.asarray(ApL - VL @ NL, dtype=float)
-        a, b, c, d = Ac[0, 0], Ac[0, 1], Ac[1, 0], Ac[1, 1]
-        lin = np.array([[2 * a, 2 * b, 0.0], [c, a + d, b], [0.0, 2 * c, 2 * d]])
-        rhs = -np.array([R[0, 0], R[0, 1], R[1, 1]], dtype=float)
-        try:
-            x = np.linalg.solve(lin, rhs)
-        except np.linalg.LinAlgError:
+        v = _newton_step(a, d, n, v)
+        if v is None:
             break
-        VL = VL + np.array([[x[0], x[1]], [x[1], x[2]]], dtype=np.longdouble)
-        VL = 0.5 * (VL + VL.T)
-        norm = np.abs(res(VL)).max()
+        norm = max(map(abs, _residual(a, d, n, v)))
         if norm < best_norm:
-            best, best_norm = VL, norm
+            best, best_norm = v, norm
         if best_norm == 0.0:
             break
-    return np.asarray(best, dtype=float)
+    v1, v2, v3 = best
+    return np.array([[v1, v2], [v2, v3]], dtype=float)
 
 
 def _accept(model: DerivedModel, V: np.ndarray) -> tuple[np.ndarray, float] | None:

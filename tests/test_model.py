@@ -124,7 +124,7 @@ class TestModelInvariants:
             for phi in phis:
                 s = SystemSpec(G=spec.G, C=spec.C, phi=phi, eta=spec.eta)
                 m = build_derived(s)
-                kappas.append(compute_kappa(s))
+                kappas.append(m.kappa)
                 As.append(m.A)
                 Qs.append(m.Q)
             kappas = np.array(kappas)

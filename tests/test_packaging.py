@@ -1,5 +1,6 @@
 import ast
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -25,3 +26,12 @@ def test_runtime_imports_are_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"qkalman"}
     assert third_party, "no third-party imports found; the scan is broken"
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # mpmath serves only the 60-digit acceptance row, which imports it on
+    # use; loading it with the package would add to every command's start-up
+    # time and memory.
+    code = "import sys, qkalman, qkalman.cli; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "importing qkalman loaded mpmath"

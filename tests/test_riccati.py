@@ -18,7 +18,7 @@ from qkalman import (
     riccati_rhs,
     solve_are,
 )
-from qkalman.acceptance import POPULATION_SEED, _mp_matrix, _mp_refine
+from qkalman.acceptance import POPULATION_SEED, _refine_reference
 from qkalman.closedform import (
     Example1Params,
     Example2Params,
@@ -26,6 +26,7 @@ from qkalman.closedform import (
     example1_spec,
     example2_spec,
 )
+from qkalman.riccati import _sym
 
 from conftest import random_spec
 
@@ -265,8 +266,9 @@ class TestSolveAre:
 
     def test_ode_route_matches_60_digit_reference(self):
         # Six ill-conditioned draws of the acceptance distribution (|V_inf|
-        # 5e5 to 4e7) and acceptance spec 741 (|V_inf| ~ 8e8), against Newton
-        # on the same float64 model at 60 digits.
+        # 5e5 to 4e7) and acceptance spec 741 (|V_inf| ~ 8e8), against the
+        # shared Newton step at 60 digits on the route's own float64 model
+        # (A', D and N promoted exactly).
         rng = np.random.default_rng([474395620, 1099])
         defect_draws = [random_spec(rng) for _ in range(2441)]
         rng = np.random.default_rng(POPULATION_SEED)
@@ -276,9 +278,15 @@ class TestSolveAre:
             model = build_derived(spec)
             V = solve_are(model, method="ode").V_inf
             with mp.workdps(60):
-                A_, D_, N_ = (_mp_matrix(x, mp) for x in (model.Aprime, model.D, model.quadratic_coefficient()))
-                ref = _mp_refine(mp, A_, D_, N_, _mp_matrix(V, mp))
-                ref = np.array([[float(ref[i, j]) for j in range(2)] for i in range(2)])
+                a = [mp.mpf(x) for x in model.Aprime.ravel().tolist()]
+                d, n, v = (
+                    tuple(map(mp.mpf, _sym(X.tolist())))
+                    for X in (model.D, model.quadratic_coefficient(), V)
+                )
+                ref = _refine_reference(a, d, n, v)
+                assert ref is not None
+                r1, r2, r3 = map(float, ref)
+                ref = np.array([[r1, r2], [r2, r3]])
             assert np.abs(V - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
 
     @pytest.mark.filterwarnings("error")
