@@ -36,12 +36,20 @@ __all__ = [
     "lemma_f_bound",
 ]
 
-#: |kappa| at or below this maps to the "nonpositive" branch.
+#: |kappa| at or below this times |C|^2 = ||Cr||^2 + ||Ci||^2 maps to the
+#: "nonpositive" branch. |C|^2 is phase-invariant and scales with kappa
+#: under time rescaling, so the verdict does not depend on the time unit.
 KAPPA_DEADBAND = 1e-12
 
 
 class DegenerateBasis(ValueError):
     """Cr vanishes, so the projected basis (Cr, Sigma^T Cr) does not exist."""
+
+
+def _kappa_positive(model: DerivedModel) -> bool:
+    """kappa above the dead-band KAPPA_DEADBAND * |C|^2."""
+    c2 = float(model.Cr @ model.Cr + model.Ci @ model.Ci)
+    return model.kappa > KAPPA_DEADBAND * c2
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def classify_stability(model: DerivedModel) -> StabilityReport:
         root = np.sqrt(-disc)
         analytic = np.array([-kappa + 1j * root, -kappa - 1j * root])
     numeric = np.linalg.eigvals(model.A)
-    stable = kappa > KAPPA_DEADBAND and kappa * kappa + det_G > 0.0
+    stable = _kappa_positive(model) and kappa * kappa + det_G > 0.0
     return StabilityReport(
         kappa=kappa,
         det_G=det_G,
@@ -151,9 +159,9 @@ def theorem_bound(model: DerivedModel) -> float:
     hbar^2/(4*eta) for kappa <= 0 (dead-band included), hbar^2/4 otherwise.
     """
     hbar, eta = model.hbar, model.eta
-    if model.kappa <= KAPPA_DEADBAND:
-        return hbar * hbar / (4.0 * eta)
-    return hbar * hbar / 4.0
+    if _kappa_positive(model):
+        return hbar * hbar / 4.0
+    return hbar * hbar / (4.0 * eta)
 
 
 def _projected_identities(cr, ci, a, d, v, eta, hbar, sqrt) -> ProofIdentityReport:
@@ -161,9 +169,10 @@ def _projected_identities(cr, ci, a, d, v, eta, hbar, sqrt) -> ProofIdentityRepo
     D and V_inf as triples (x11, x12, x22). Only +, -, *, / and the given
     ``sqrt`` are used, so the report's numbers have the type of the inputs:
     float, or ``mpmath.mpf`` in the 60-digit acceptance check."""
-    s = sqrt(cr[0] * cr[0] + cr[1] * cr[1])
-    if s < 1e-12:
+    s2 = cr[0] * cr[0] + cr[1] * cr[1]
+    if s2 <= 1e-24 * (s2 + ci[0] * ci[0] + ci[1] * ci[1]):
         raise DegenerateBasis("Cr vanishes; projected basis undefined")
+    s = sqrt(s2)
     c = (cr[0] / s, cr[1] / s)  # chat
     b = (-c[1], c[0])  # cbar = Sigma^T chat
     D, V = (d[0], d[1], d[1], d[2]), (v[0], v[1], v[1], v[2])
@@ -206,7 +215,7 @@ def det_quotient_identity(model: DerivedModel, V_inf: np.ndarray) -> ProofIdenti
     Raises
     ------
     DegenerateBasis
-        If ||Cr|| < 1e-12.
+        If ||Cr|| <= 1e-12 * |C|, |C| = sqrt(||Cr||^2 + ||Ci||^2).
     """
     m, v = model, _sym(np.asarray(V_inf, dtype=float).tolist())
     a, d, cr, ci = m.Aprime.ravel().tolist(), _sym(m.D.tolist()), m.Cr.tolist(), m.Ci.tolist()
@@ -248,7 +257,7 @@ def theorem_report(model: DerivedModel, steady: SteadyState | None) -> TheoremRe
     hbar2 = model.hbar * model.hbar
     return TheoremReport(
         kappa=model.kappa,
-        kappa_class="positive" if model.kappa > KAPPA_DEADBAND else "nonpositive",
+        kappa_class="positive" if _kappa_positive(model) else "nonpositive",
         stability_class=classify_stability(model).stability_class,
         bound=bound,
         steady_state_exists=steady is not None,

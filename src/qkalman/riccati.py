@@ -13,28 +13,30 @@ exp(M t), and composing the map with itself doubles t (Davison & Maki
 1973; Chu, Fan, Lin & Wang 2004). As V is proportional to hbar, the
 propagator works on V/hbar. :func:`integrate_riccati` applies the map over
 one step at every step. :func:`solve_are` computes the unique stabilizing
-steady solution by two independent routes:
+steady solution by one of two independent routes:
 
-* ``hamiltonian`` -- stable invariant subspace of the associated 4x4
-  Hamiltonian matrix (ordered real Schur form), then Newton polish: the
-  scalar step that the 60-digit acceptance check shares, on longdouble;
+* ``hamiltonian`` -- closed form. In units of hbar, N = q c c^T has rank
+  one (c = Cr, q = 4 eta), so with e = adj(A')^T c the Hamiltonian matrix
+  H has det(sI - H) = s^4 + p s^2 + r, r = det(A')^2 + q e^T D e. Its
+  stable half s^2 - sigma s + pi has pi = sqrt(r) and sigma^2 = 2 pi - p =
+  (tr A')^2 + q c^T D c + 2 (pi - det A'), the last term taken as
+  2 q e^T D e / (pi + det A') when det A' > 0 (Kucera, Automatica 8
+  (1972)); r <= 0 or sigma^2 <= 0 puts eigenvalues on the imaginary axis.
+  As (H^2 - sigma H + pi I)(H^2 + sigma H + pi I) = 0 (Cayley-Hamilton),
+  the range [X; Y] of K = H^2 + sigma H + pi I is the stable invariant
+  subspace and V = Y X^-1 (Laub, IEEE TAC 24 (1979)). No polish follows;
 * ``ode_limit``  -- the flow map from the vacuum covariance, doubled until
   the flow reaches its limit; exact up to rounding, with no polish.
-
-On ill-conditioned systems (|V_inf| of 1e6 to 1e7, about 6 in 10 000
-random specs) the Hamiltonian route misses a 60-digit reference by up to
-7e-7 and the flow limit by at most 1.3e-9 (see "Known defect" in
-``perfbench/README.md``); elsewhere both agree far below 1e-8.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import schur
 
 from .model import DerivedModel, symmetrize
 
@@ -52,10 +54,6 @@ __all__ = [
 
 #: Flow norm beyond which integration reports divergence.
 DIVERGENCE_NORM = 1e12
-
-#: Hamiltonian eigenvalues closer than this to the imaginary axis disqualify
-#: the stable-subspace route.
-AXIS_MARGIN = 1e-9
 
 
 class NoSteadySolution(RuntimeError):
@@ -126,10 +124,8 @@ class ExistenceProbe:
         axis = float(np.min(np.abs(eig.real)))
         if steady is None:
             detail = "no stabilizing solution found by either route"
-        elif steady.method == "hamiltonian":
-            detail = "stable-subspace solution accepted"
         else:
-            detail = "flow-limit solution accepted (subspace route failed)"
+            detail = "stable-subspace solution accepted"
         return cls(eig, axis, steady is not None, detail)
 
 
@@ -286,65 +282,68 @@ def _newton_step(a, d, n, v):
     return v1 + x1, v2 + x2, v3 + x3
 
 
-def _newton_polish(
-    Ap: np.ndarray, D: np.ndarray, N: np.ndarray, V: np.ndarray, iters: int = 30
-) -> np.ndarray:
-    """Newton iterations on the steady-state residual, best-by-residual.
-
-    Runs :func:`_newton_step` on ``np.longdouble`` scalars, so ill-conditioned
-    solutions polish well below the float64 residual floor. A singular
-    linearization ends the iterations.
-    """
-    a = tuple(Ap.astype(np.longdouble).ravel())
-    d, n, v = (_sym(X.astype(np.longdouble)) for X in (D, N, V))
-    best, best_norm = v, max(map(abs, _residual(a, d, n, v)))
-    for _ in range(iters):
-        v = _newton_step(a, d, n, v)
-        if v is None:
-            break
-        norm = max(map(abs, _residual(a, d, n, v)))
-        if norm < best_norm:
-            best, best_norm = v, norm
-        if best_norm == 0.0:
-            break
-    v1, v2, v3 = best
-    return np.array([[v1, v2], [v2, v3]], dtype=float)
-
-
 def _accept(model: DerivedModel, V: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Quality gate on V in units of hbar: symmetric PSD, small residual,
-    Hurwitz closed loop.
+    Hurwitz closed loop (tr Ac < 0 < det Ac, exact for 2x2).
 
     Returns hbar * V and its residual, or None if V fails the gate.
     """
     Ap, D, N = _hbar_units(model)
     scale = 1.0 + float((V * V).sum())
     resid = float(np.linalg.norm(_residual_matrix(Ap, D, N, V), 2))
+    Ac = Ap - V @ N
     ok = (
         np.all(np.isfinite(V))
         and np.linalg.eigvalsh(V).min() > -1e-9 * (1.0 + np.abs(V).max())
         and resid <= 1e-9 * scale
-        and np.linalg.eigvals(Ap - V @ N).real.max() < 0.0
+        and np.trace(Ac) < 0.0 < Ac[0, 0] * Ac[1, 1] - Ac[0, 1] * Ac[1, 0]
     )
     return (model.hbar * V, model.hbar * resid) if ok else None
 
 
+def _stable_pair(a, d, c, q):
+    """(sigma, pi) of the stable half of det(sI - H), or None when the
+    spectrum touches the imaginary axis (see the module docstring). A' =
+    ``a`` row-major, D the triple ``d``, N = q c c^T."""
+    a11, a12, a21, a22 = a
+    c1, c2 = c
+    e1, e2 = a22 * c1 - a21 * c2, a11 * c2 - a12 * c1
+    det = a11 * a22 - a12 * a21
+    ede = e1 * (d[0] * e1 + d[1] * e2) + e2 * (d[1] * e1 + d[2] * e2)
+    cdc = c1 * (d[0] * c1 + d[1] * c2) + c2 * (d[1] * c1 + d[2] * c2)
+    r = det * det + q * ede
+    if not r > 0.0:
+        return None
+    pi = math.sqrt(r)
+    gap = 2.0 * q * ede / (pi + det) if det > 0.0 else 2.0 * (pi - det)
+    tr = a11 + a22
+    sigma2 = tr * tr + q * cdc + gap
+    if not sigma2 > 0.0:
+        return None
+    return -math.sqrt(sigma2), pi
+
+
 def _solve_hamiltonian(model: DerivedModel) -> tuple[np.ndarray, float] | None:
-    """Stabilizing solution and its residual from the stable invariant
-    subspace, or None."""
+    """Stabilizing solution and its residual from the range of
+    K = H^2 + sigma H + pi I, or None. Of K's six column pairs, the one with
+    the largest |det| of its top 2x2 block over its column norms spans it."""
     Ap, D, N = _hbar_units(model)
+    pair = _stable_pair(Ap.ravel().tolist(), _sym(D.tolist()), model.Cr.tolist(), 4.0 * model.eta)
+    if pair is None:
+        return None
+    sigma, pi = pair
     H = _hamiltonian_matrix(Ap, D, N)
-    eig = np.linalg.eigvals(H)
-    if np.min(np.abs(eig.real)) < AXIS_MARGIN:
+    K = H @ H + sigma * H + pi * np.eye(4)
+    (t0, t1), norms = K[:2].tolist(), np.linalg.norm(K, axis=0).tolist()
+
+    def conditioning(ij: tuple[int, int]) -> float:
+        i, j = ij
+        return abs(t0[i] * t1[j] - t0[j] * t1[i]) / (norms[i] * norms[j] or math.inf)
+
+    ij = max(itertools.combinations(range(4), 2), key=conditioning)
+    if not conditioning(ij) > 0.0:
         return None
-    _, Z, sdim = schur(H, output="real", sort="lhp")
-    if sdim != 2:
-        return None
-    U1 = Z[:2, :2]
-    U2 = Z[2:, :2]
-    if abs(np.linalg.det(U1)) < 1e-13:
-        return None
-    return _accept(model, _newton_polish(Ap, D, N, symmetrize(U2 @ np.linalg.inv(U1))))
+    return _accept(model, symmetrize(K[2:, ij] @ np.linalg.inv(K[:2, ij])))
 
 
 def _solve_ode_limit(model: DerivedModel) -> tuple[np.ndarray, float] | None:
@@ -380,42 +379,33 @@ def _solve_ode_limit(model: DerivedModel) -> tuple[np.ndarray, float] | None:
     return _accept(model, V0 + P)
 
 
-def _try_route(route, model: DerivedModel) -> tuple[np.ndarray, float] | None:
-    """A route's result; a numerical failure inside it means it failed."""
-    try:
-        return route(model)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def solve_are(
     model: DerivedModel, method: Literal["hamiltonian", "ode"] = "hamiltonian"
 ) -> SteadyState:
     """Compute the stabilizing steady covariance.
 
-    ``method="hamiltonian"`` uses the stable invariant subspace of the 4x4
-    Hamiltonian matrix and falls back to the ODE route if the subspace
-    computation fails its quality gates. ``method="ode"`` forces the
-    ODE-limit route.
+    ``method="hamiltonian"`` takes it in closed form from the stable
+    invariant subspace of the 4x4 Hamiltonian matrix (derivation and refs
+    in the module docstring); ``method="ode"`` takes it as the limit of the
+    flow from the vacuum covariance. Each method runs its own route only;
+    neither falls back to the other.
 
     Raises
     ------
     NoSteadySolution
-        If neither route produces a stabilizing, positive-semidefinite
+        If the route produces no stabilizing, positive-semidefinite
         solution with a small residual.
     """
     if method not in ("hamiltonian", "ode"):
         raise ValueError(f"unknown method {method!r}")
-    found = _try_route(_solve_hamiltonian, model) if method == "hamiltonian" else None
-    tag: Literal["hamiltonian", "ode_limit"] = "hamiltonian"
+    tag = "hamiltonian" if method == "hamiltonian" else "ode_limit"
+    route = _solve_hamiltonian if method == "hamiltonian" else _solve_ode_limit
+    try:
+        found = route(model)
+    except np.linalg.LinAlgError:  # a numerical failure inside the route
+        found = None
     if found is None:
-        found = _try_route(_solve_ode_limit, model)
-        tag = "ode_limit"
-    if found is None:
-        raise NoSteadySolution(
-            "no stabilizing steady solution: Hamiltonian spectrum touches the "
-            "imaginary axis and the flow does not converge"
-        )
+        raise NoSteadySolution(f"no stabilizing steady solution on the {tag} route")
     V, resid = found
     # Both routes return only solutions that passed _accept, whose gate
     # includes a Hurwitz closed loop.

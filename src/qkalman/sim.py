@@ -215,20 +215,30 @@ def _error_steps(
     sqrt(dt) L z, z drawn from member i's ``rngs[i]`` in blocks of
     ``_TIME_BLOCK`` steps (bit for bit one whole-path draw), or zero if
     ``rngs`` is None. Yields (k, e_{k+1}, nu_k) for k = 0..n-1.
+
+    The draws and increments of every block go to the same two buffers,
+    allocated once per call, so the call's peak memory is fixed by the
+    stack and the block size and not by how the allocator placed earlier
+    blocks.
     """
     A_T, M, LT, scale = model.A.T, model.M, _joint_noise_factor(model).T, np.sqrt(dt)
     n = len(K)
+    rows = min(n, _TIME_BLOCK + 1)
+    if rngs is not None:
+        z_buf, w_buf = np.empty((rows, len(rngs), 3)), np.empty((rows, *e.shape[:-1], 3))
     start = 0
     while start < n:
         # a lone last step joins the block before it: numpy sends a one-row
         # product to gemv, which rounds unlike the gemm of a whole-path draw
         b = n - start if n - start <= _TIME_BLOCK + 1 else _TIME_BLOCK
-        shape = (b, *e.shape[:-1], 3)
         if rngs is None:
-            W = np.zeros(shape)
+            W = np.zeros((b, *e.shape[:-1], 3))
         else:
-            z = np.stack([r.standard_normal((b, 3)) for r in rngs], axis=1)
-            W = (z.reshape(-1, 3) @ LT * scale).reshape(shape)
+            z, W = z_buf[:b], w_buf[:b]
+            for i, r in enumerate(rngs):
+                z[:, i] = r.standard_normal((b, 3))
+            np.matmul(z.reshape(-1, 3), LT, out=W.reshape(-1, 3))
+            W *= scale
         for k, dw, dv in zip(range(start, start + b), W[..., :2], W[..., 2]):
             nu = (e @ M) * dt + dv
             e = e + (e @ A_T) * dt + dw - nu[..., None] * K[k]

@@ -29,14 +29,15 @@ def test_criterion(name):
 
 
 def test_cross_solver_counts_flow_limit_fallbacks():
-    # Population spec 741's steady state comes from the flow-limit fallback, so
-    # the row has no Hamiltonian solution to hold the ODE route against there.
+    # Each method runs its own route only, so every population steady state
+    # comes from the closed-form route and the row compares all 1000 specs
+    # (spec 741 fell back to the flow limit before the closed form).
     entries = acceptance._population()
-    fallbacks = [i for i, e in enumerate(entries) if e.steady is not None and e.steady.method != "hamiltonian"]
-    assert fallbacks == [741]
+    fallbacks = [i for i, e in enumerate(entries) if e.steady is None or e.steady.method != "hamiltonian"]
+    assert fallbacks == []
     passed, detail = acceptance._crit_cross_solver(None)
     assert passed
-    assert detail.startswith("999/1000 specs converged on both routes (1 fell back to the flow limit, ")
+    assert detail.startswith("1000/1000 specs converged on both routes (0 failed on the ODE route), ")
 
 
 def test_population_rows_scale_slack_with_hbar(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from qkalman import build_derived, riccati, solve_are, spec_to_dict
 from qkalman.acceptance import POPULATION_SEED
+from qkalman.closedform import Example1Params, example1_det
 from qkalman.cli import main
 
 from conftest import random_spec
@@ -100,6 +101,29 @@ class TestAnalyze:
         V = np.array(read_json(out / "report.json")["steady_state"]["V_inf"]) / 1e-34
         ref = solve_are(build_derived(spec)).V_inf
         assert np.abs(V - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+
+    def test_si_trapped_particle_reports_closed_form_det(self, tmp_path):
+        # SI units: ||Cr|| ~ 5e-18, Hamiltonian spectrum +-2e-35 +- 1i
+        p = Example1Params(alpha=1.3182e-35, phi=0.3, eta=0.7, hbar=1.054571817e-34)
+        values = "hbar=1.054571817e-34,alpha=1.3182e-35,phi=0.3,eta=0.7"
+        assert run(["analyze", "--example", "1", "--set", values, "--out", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "report.json")
+        assert report["steady_state"]["det"] == pytest.approx(example1_det(p), rel=1e-8)
+        assert np.isfinite(report["theorem"]["proof_identity_residual"])
+
+    def test_kappa_class_invariant_under_time_rescaling(self, tmp_path):
+        # beta = 0.5, gamma = 1, eta = 0.5 with time rescaled by 4^-20:
+        # kappa = 2^-40 ~ 9.1e-13 is still positive relative to |C|^2.
+        margins = []
+        rescaled = "beta=4.547473508864641e-13,gamma=9.5367431640625e-07,eta=0.5"
+        for j, values in enumerate(("beta=0.5,gamma=1,eta=0.5", rescaled)):
+            out = tmp_path / str(j)
+            assert run(["analyze", "--example", "2", "--set", values, "--out", str(out)]) == 0
+            theorem = read_json(out / "report.json")["theorem"]
+            assert theorem["kappa_class"] == "positive"
+            margins.append(theorem["margin"])
+        assert margins[0] == pytest.approx(0.0197, abs=1e-4)
+        assert abs(margins[1] - margins[0]) <= 1e-9
 
     def test_unknown_set_key(self, tmp_path, capsys):
         code = run(["analyze", "--example", "1", "--set", "beta=1", "--out", str(tmp_path)])

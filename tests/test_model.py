@@ -139,8 +139,9 @@ class TestModelInvariants:
         base = random_spec(np.random.default_rng(seed))
         spec = SystemSpec(G=base.G, C=base.C, phi=phi, eta=base.eta)
         kappa = compute_kappa(spec)
-        tol = 1e-12 * (1.0 + float(np.sum(np.abs(spec.C) ** 2)))
-        assume(abs(abs(kappa) - KAPPA_DEADBAND) > tol)
+        c2 = float(np.sum(np.abs(spec.C) ** 2))
+        tol = 1e-12 * (1.0 + c2)
+        assume(abs(abs(kappa) - KAPPA_DEADBAND * c2) > tol)
         model = build_derived(spec)
         assert abs(model.kappa - kappa) <= tol
         assert theorem_bound(model) == theorem_bound(build_derived(base))

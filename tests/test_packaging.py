@@ -35,3 +35,11 @@ def test_package_import_leaves_mpmath_unloaded():
     code = "import sys, qkalman, qkalman.cli; sys.exit('mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "importing qkalman loaded mpmath"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy serves only the tests (oracles and a minimizer); the steady
+    # solve is closed form, so no command needs it.
+    code = "import sys, qkalman, qkalman.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "importing qkalman loaded scipy"

@@ -10,7 +10,6 @@ from qkalman import (
     NoSteadySolution,
     RiccatiDivergence,
     RiccatiFlow,
-    SteadyState,
     SystemSpec,
     are_existence_probe,
     build_derived,
@@ -26,6 +25,7 @@ from qkalman.closedform import (
     example1_spec,
     example2_spec,
 )
+from qkalman.model import SIGMA
 from qkalman.riccati import _sym
 
 from conftest import random_spec
@@ -39,6 +39,42 @@ def scipy_are_oracle(model):
         model.D,
         np.array([[model.hbar / (4.0 * model.eta)]]),
     )
+
+
+def sixty_digit_deviation(model, V):
+    """max|V - ref| / (1 + max|ref|), with ref the 60-digit Newton solution
+    of the same float64 model (A', D and N promoted exactly)."""
+    with mp.workdps(60):
+        a = [mp.mpf(x) for x in model.Aprime.ravel().tolist()]
+        d, n, v = (
+            tuple(map(mp.mpf, _sym(X.tolist())))
+            for X in (model.D, model.quadratic_coefficient(), V)
+        )
+        ref = _refine_reference(a, d, n, v)
+        assert ref is not None
+        r1, r2, r3 = map(float, ref)
+    ref = np.array([[r1, r2], [r2, r3]])
+    return np.abs(V - ref).max() / (1.0 + np.abs(ref).max())
+
+
+def unobservable_G(C, eta, mu, a12):
+    """Symmetric G for which Cr = Re C (phi = 0) is a left eigenvector of A'
+    and the other, unobservable, eigenvalue of A' is ``mu``.
+
+    A' = Sigma (G + B) with B = Cr Ci^T + (2 eta - 1) Ci Cr^T, and tr A' =
+    tr(Sigma B) whatever the symmetric G. So A' = X solves X^T Cr = lam Cr
+    with lam = tr(Sigma B) - mu, X[0, 1] = a12, and Sigma^T X - B symmetric.
+    """
+    Cr, Ci = C.real, C.imag
+    B = np.outer(Cr, Ci) + (2.0 * eta - 1.0) * np.outer(Ci, Cr)
+    lam = np.trace(SIGMA @ B) - mu
+    basis = np.eye(4).reshape(4, 2, 2)
+    rows = [[(E.T @ Cr)[i] for E in basis] for i in range(2)]
+    rows.append([0.0, 1.0, 0.0, 0.0])
+    rows.append([(SIGMA.T @ E)[0, 1] - (SIGMA.T @ E)[1, 0] for E in basis])
+    rhs = [lam * Cr[0], lam * Cr[1], a12, B[0, 1] - B[1, 0]]
+    G = SIGMA.T @ np.linalg.solve(np.array(rows), rhs).reshape(2, 2) - B
+    return 0.5 * (G + G.T)
 
 
 class TestRhs:
@@ -266,9 +302,9 @@ class TestSolveAre:
 
     def test_ode_route_matches_60_digit_reference(self):
         # Six ill-conditioned draws of the acceptance distribution (|V_inf|
-        # 5e5 to 4e7) and acceptance spec 741 (|V_inf| ~ 8e8), against the
-        # shared Newton step at 60 digits on the route's own float64 model
-        # (A', D and N promoted exactly).
+        # 5e5 to 4e7) and acceptance spec 741 (|V_inf| ~ 8e8), on both
+        # routes, against the shared Newton step at 60 digits on the route's
+        # own float64 model (A', D and N promoted exactly).
         rng = np.random.default_rng([474395620, 1099])
         defect_draws = [random_spec(rng) for _ in range(2441)]
         rng = np.random.default_rng(POPULATION_SEED)
@@ -276,18 +312,37 @@ class TestSolveAre:
         specs = [defect_draws[i] for i in (80, 251, 583, 1012, 2231, 2440)] + [population[741]]
         for spec in specs:
             model = build_derived(spec)
-            V = solve_are(model, method="ode").V_inf
-            with mp.workdps(60):
-                a = [mp.mpf(x) for x in model.Aprime.ravel().tolist()]
-                d, n, v = (
-                    tuple(map(mp.mpf, _sym(X.tolist())))
-                    for X in (model.D, model.quadratic_coefficient(), V)
-                )
-                ref = _refine_reference(a, d, n, v)
-                assert ref is not None
-                r1, r2, r3 = map(float, ref)
-                ref = np.array([[r1, r2], [r2, r3]])
-            assert np.abs(V - ref).max() <= 1e-8 * (1.0 + np.abs(ref).max())
+            for method in ("hamiltonian", "ode"):
+                assert sixty_digit_deviation(model, solve_are(model, method=method).V_inf) <= 1e-8
+
+    def test_si_example1_matches_closed_form_det(self):
+        # The trapped particle in SI units (hbar = 1.05e-34, m down to 1e-26
+        # kg, omega up to 2 pi 1e6 /s) and at hbar = 1: rates and covariances
+        # span ~70 decades, and near-axis spectra like +-2e-35 +- 1i are
+        # valid inputs. Every spec solves, to the closed-form det.
+        for hbar in (1.054571817e-34, 1.0):
+            for m, omega in ((1, 1), (1, 1e3), (1, 1e6), (1e-15, 2e5 * np.pi), (1e-26, 2e6 * np.pi)):
+                for r1 in (0.1, 1.0, 10.0):
+                    for phi in (0.0, 0.3):
+                        alpha = hbar * m * omega**2 / (8.0 * r1)
+                        p = Example1Params(m=m, omega=omega, alpha=alpha, phi=phi, eta=1.0, hbar=hbar)
+                        det = np.linalg.det(solve_are(build_derived(example1_spec(p))).V_inf)
+                        assert det == pytest.approx(example1_det(p), rel=1e-8), p
+
+    def test_near_unobservable_family_matches_60_digit_reference(self):
+        # Cr is a left eigenvector of A', so (A', Cr^T) is unobservable with
+        # a stable unobservable mode mu; G is then perturbed by eps. A gain
+        # formula in terms of c1 e2 - c2 e1 (e = adj(A')^T Cr), which is
+        # rounding noise at eps = 0, would fail here.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            C = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+            eta = 1.0 - rng.uniform(0.0, 1.0)
+            G = unobservable_G(C, eta, mu=rng.uniform(-2.0, -0.2), a12=rng.uniform(-2.0, 2.0))
+            P = rng.uniform(-1.0, 1.0, (2, 2))
+            for eps in (0.0, 1e-12, 1e-9, 1e-3):
+                model = build_derived(SystemSpec(G=G + eps * (P + P.T), C=C, eta=eta))
+                assert sixty_digit_deviation(model, solve_are(model).V_inf) <= 1e-9
 
     @pytest.mark.filterwarnings("error")
     def test_no_measurement_raises(self):
@@ -343,6 +398,20 @@ class TestInvariance:
         assert np.array_equal(solve_are(build_derived(rescaled), method="ode").V_inf, base)
 
 
+    @_PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(-20, 20))
+    def test_default_route_bitwise_invariant_under_time_rescaling(self, seed, j):
+        # The closed form's sigma, pi, K and its column choice all scale by
+        # powers of two. The residual gate is absolute in time units, so a
+        # rescaled spec may be refused, but never solved differently.
+        spec = random_spec(np.random.default_rng(seed))
+        base = _solve_or_none(build_derived(spec), "hamiltonian")
+        assume(base is not None)
+        rescaled = SystemSpec(G=4.0**j * spec.G, C=2.0**j * spec.C, phi=spec.phi, eta=spec.eta)
+        V = _solve_or_none(build_derived(rescaled), "hamiltonian")
+        assert V is None or np.array_equal(V, base)
+
+
 class TestExistenceProbe:
     def test_example2_exists(self):
         probe = are_existence_probe(build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0))))
@@ -371,8 +440,6 @@ class TestExistenceProbe:
         model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0)))
         steady = solve_are(model)
         assert ExistenceProbe.of(model, steady).detail == "stable-subspace solution accepted"
-        fallback = SteadyState(steady.V_inf, steady.residual, "ode_limit", True)
-        assert "subspace route failed" in ExistenceProbe.of(model, fallback).detail
         missing = ExistenceProbe.of(model, None)
         assert not missing.exists
         probe = are_existence_probe(model)

@@ -241,6 +241,23 @@ class TestMonteCarlo:
 
         assert peak(40.0) < 2 * peak(4.0)
 
+    def test_noise_buffers_allocated_once_per_stack(self, monkeypatch):
+        # one draw buffer and one increment buffer per stack, reused block
+        # to block; fresh arrays per block peaked at about 4.3 blocks here
+        monkeypatch.setattr(sim, "_MEMBER_CHUNK", 200)
+        monkeypatch.setattr(sim, "_TIME_BLOCK", 256)
+        spec = example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=0.5))
+        cfg = SimConfig(dt=1e-3, t_final=1.024, seed=1, ensemble=400)
+        flow = vacuum_flow(spec, cfg.t_final, cfg.dt)
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, cfg, flow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (256 + 1) * 200 * 3 * 8  # bytes of one (block, stack, 3) buffer
+        assert peak < 3.5 * block
+
     def test_member_zero_matches_single_trajectory(self):
         spec = DENSE
         cfg = SimConfig(dt=1e-3, t_final=2.5, seed=31)
