@@ -36,7 +36,6 @@ from .model import (
     SystemSpec,
     build_derived,
     compute_kappa,
-    is_physical_covariance,
     load_spec_file,
     spec_from_dict,
     spec_to_dict,
@@ -48,9 +47,7 @@ from .riccati import (
     RiccatiDivergence,
     RiccatiFlow,
     SteadyState,
-    are_existence_probe,
     integrate_riccati,
-    riccati_rhs,
     solve_are,
 )
 from .sim import (
@@ -72,7 +69,6 @@ __all__ = [
     "validate_spec",
     "build_derived",
     "compute_kappa",
-    "is_physical_covariance",
     "spec_to_dict",
     "spec_from_dict",
     "load_spec_file",
@@ -81,10 +77,8 @@ __all__ = [
     "ExistenceProbe",
     "NoSteadySolution",
     "RiccatiDivergence",
-    "riccati_rhs",
     "integrate_riccati",
     "solve_are",
-    "are_existence_probe",
     "StabilityReport",
     "TheoremReport",
     "ProofIdentityReport",

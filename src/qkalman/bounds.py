@@ -23,7 +23,6 @@ from .model import DerivedModel, SystemSpec, build_derived
 from .riccati import NoSteadySolution, SteadyState, _sym, solve_are
 
 __all__ = [
-    "KAPPA_DEADBAND",
     "DegenerateBasis",
     "StabilityReport",
     "TheoremReport",
@@ -57,15 +56,13 @@ class StabilityReport:
     """Drift stability classification.
 
     ``analytic_eigenvalues`` are the roots of
-    lambda^2 + 2*kappa*lambda + kappa^2 + det(G); ``numeric_eigenvalues``
-    come from the drift matrix itself. The drift is asymptotically stable
-    iff kappa > 0 and kappa^2 + det(G) > 0.
+    lambda^2 + 2*kappa*lambda + kappa^2 + det(G). The drift is
+    asymptotically stable iff kappa > 0 and kappa^2 + det(G) > 0.
     """
 
     kappa: float
     det_G: float
     analytic_eigenvalues: np.ndarray
-    numeric_eigenvalues: np.ndarray
     stability_class: Literal["asymptotically_stable", "not_asymptotically_stable"]
 
 
@@ -128,27 +125,18 @@ class ProofIdentityReport:
 
 
 def classify_stability(model: DerivedModel) -> StabilityReport:
-    """Classify drift stability, analytically and numerically.
-
-    The analytic pair solves the characteristic polynomial; the numeric
-    pair is the spectrum of the drift matrix. They agree to ~1e-9.
-    """
+    """Classify drift stability from the roots -kappa +- sqrt(-det G) of its
+    characteristic polynomial."""
     kappa = model.kappa
-    det_G = float(np.linalg.det(model.spec.G))
-    disc = -det_G  # lambda = -kappa +- sqrt(-det G)
-    if disc >= 0.0:
-        root = np.sqrt(disc)
-        analytic = np.array([-kappa + root, -kappa - root], dtype=complex)
-    else:
-        root = np.sqrt(-disc)
-        analytic = np.array([-kappa + 1j * root, -kappa - 1j * root])
-    numeric = np.linalg.eigvals(model.A)
+    (g11, g12), (g21, g22) = model.spec.G.tolist()
+    det_G = g11 * g22 - g12 * g21
+    root = math.sqrt(-det_G) if det_G <= 0.0 else 1j * math.sqrt(det_G)
+    analytic = np.array([-kappa + root, -kappa - root], dtype=complex)
     stable = _kappa_positive(model) and kappa * kappa + det_G > 0.0
     return StabilityReport(
         kappa=kappa,
         det_G=det_G,
         analytic_eigenvalues=analytic,
-        numeric_eigenvalues=numeric,
         stability_class="asymptotically_stable" if stable else "not_asymptotically_stable",
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -132,8 +133,22 @@ def _manifest(command: str, source: dict[str, Any], options: dict[str, Any], out
     }
 
 
+def _finite_or_null(x: Any) -> Any:
+    """``x`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Strict RFC 8259 JSON: an undefined number (NaN, e.g. ``det_V_inf``
+    without a steady state) is written as null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _matrix(a: np.ndarray) -> list:
@@ -145,7 +160,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spec, source = _resolve_spec(args, overrides)
     model = build_derived(spec)
     try:
-        steady = solve_are(model)
+        steady = solve_are(model, method=args.method)
     except NoSteadySolution:
         steady = None
     probe = ExistenceProbe.of(model, steady)
@@ -175,8 +190,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     exit_code = EXIT_OK
     if steady is not None:
-        if args.method == "ode":
-            steady = solve_are(model, method="ode")
         report["steady_state"] = {
             "V_inf": _matrix(steady.V_inf),
             "det": float(np.linalg.det(steady.V_inf)),

@@ -26,8 +26,6 @@ __all__ = [
     "validate_spec",
     "build_derived",
     "compute_kappa",
-    "symmetrize",
-    "is_physical_covariance",
     "spec_to_dict",
     "spec_from_dict",
     "load_spec_file",
@@ -56,21 +54,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def symmetrize(V: np.ndarray) -> np.ndarray:
     """Return the symmetric part (V + V^T)/2."""
     return 0.5 * (V + V.T)
-
-
-def is_physical_covariance(V: np.ndarray, hbar: float = 1.0, tol: float = 1e-9) -> bool:
-    """Check V >= 0 and det(V) >= hbar^2/4 (up to tol).
-
-    Equivalent to the uncertainty condition V + (i*hbar/2)*Sigma >= 0 for a
-    real symmetric 2x2 covariance.
-    """
-    V = np.asarray(V, dtype=float)
-    if V.shape != (2, 2) or abs(V[0, 1] - V[1, 0]) > tol * (1.0 + np.abs(V).max()):
-        return False
-    w = np.linalg.eigvalsh(symmetrize(V))
-    if w.min() < -tol * (1.0 + w.max()):
-        return False
-    return float(np.linalg.det(V)) >= 0.25 * hbar * hbar - tol
 
 
 @dataclass(frozen=True)
@@ -175,10 +158,6 @@ class DerivedModel:
     @property
     def hbar(self) -> float:
         return self.spec.hbar
-
-    def quadratic_coefficient(self) -> np.ndarray:
-        """The Riccati quadratic coefficient N = (4*eta/hbar) * Cr Cr^T."""
-        return (4.0 * self.eta / self.hbar) * np.outer(self.Cr, self.Cr)
 
 
 def validate_spec(raw: Mapping[str, Any] | SystemSpec) -> SystemSpec:

@@ -46,10 +46,8 @@ __all__ = [
     "ExistenceProbe",
     "NoSteadySolution",
     "RiccatiDivergence",
-    "riccati_rhs",
     "integrate_riccati",
     "solve_are",
-    "are_existence_probe",
 ]
 
 #: Flow norm beyond which integration reports divergence.
@@ -127,12 +125,6 @@ class ExistenceProbe:
         else:
             detail = "stable-subspace solution accepted"
         return cls(eig, axis, steady is not None, detail)
-
-
-def riccati_rhs(model: DerivedModel, V: np.ndarray) -> np.ndarray:
-    """Right-hand side of the covariance ODE, symmetrized."""
-    V = np.asarray(V, dtype=float)
-    return symmetrize(_residual_matrix(model.Aprime, model.D, model.quadratic_coefficient(), V))
 
 
 def _hbar_units(model: DerivedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,13 +230,14 @@ def integrate_riccati(
     return RiccatiFlow(times=np.arange(n_steps + 1) * dt, values=hbar * flow)
 
 
-def _residual_matrix(Ap, D, N, V):
-    return Ap @ V + V @ Ap.T + D - V @ N @ V
-
-
 def _sym(X) -> tuple:
     """The triple (x11, x12, x22) of a symmetric 2x2 array or nested list."""
     return X[0][0], X[0][1], X[1][1]
+
+
+def _triples(Ap: np.ndarray, D: np.ndarray, N: np.ndarray) -> tuple:
+    """(A' row-major, D, N as triples): the scalar kernels' operands."""
+    return Ap.ravel().tolist(), _sym(D.tolist()), _sym(N.tolist())
 
 
 def _residual(a, d, n, v):
@@ -262,6 +255,15 @@ def _residual(a, d, n, v):
     )
 
 
+def _closed_loop(a, n, v):
+    """Ac = A' - VN row-major, in the precision of the inputs."""
+    v1, v2, v3 = v
+    return (
+        a[0] - (v1 * n[0] + v2 * n[1]), a[1] - (v1 * n[1] + v2 * n[2]),
+        a[2] - (v2 * n[0] + v3 * n[1]), a[3] - (v2 * n[1] + v3 * n[2]),
+    )
+
+
 def _newton_step(a, d, n, v):
     """One Newton step V + X on the residual, in the precision of the inputs.
 
@@ -269,9 +271,7 @@ def _newton_step(a, d, n, v):
     [[2p, 2q, 0], [r, p+s, q], [0, 2r, 2s]] x = -R, by Cramer's rule. Its
     determinant is 4 tr(Ac) det(Ac); None when that is zero or not finite."""
     b1, b2, b3 = (-x for x in _residual(a, d, n, v))
-    v1, v2, v3 = v
-    p, q = a[0] - (v1 * n[0] + v2 * n[1]), a[1] - (v1 * n[1] + v2 * n[2])
-    r, s = a[2] - (v2 * n[0] + v3 * n[1]), a[3] - (v2 * n[1] + v3 * n[2])
+    p, q, r, s = _closed_loop(a, n, v)
     t = p + s
     det = 2 * t * (p * s - q * r)  # half the 3x3 determinant
     if not 0 < abs(det) < math.inf:
@@ -279,26 +279,29 @@ def _newton_step(a, d, n, v):
     x1 = ((s * t - q * r) * b1 - 2 * q * s * b2 + q * q * b3) / det
     x2 = (2 * p * s * b2 - r * s * b1 - p * q * b3) / det
     x3 = ((p * t - q * r) * b3 - 2 * p * r * b2 + r * r * b1) / det
-    return v1 + x1, v2 + x2, v3 + x3
+    return v[0] + x1, v[1] + x2, v[2] + x3
 
 
-def _accept(model: DerivedModel, V: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Quality gate on V in units of hbar: symmetric PSD, small residual,
-    Hurwitz closed loop (tr Ac < 0 < det Ac, exact for 2x2).
+def _accept(hbar: float, a, d, n, V: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Quality gate on the symmetric V in units of hbar, with the operands of
+    :func:`_residual`: finite, PSD, small residual R, Hurwitz closed loop.
+    Closed forms for symmetric 2x2: lambda_min(V) = (v1+v3)/2 -
+    hypot((v1-v3)/2, v2), ||R||_2 = |(r1+r3)/2| + hypot((r1-r3)/2, r2), and
+    Ac = A' - VN is Hurwitz iff tr Ac < 0 < det Ac.
 
     Returns hbar * V and its residual, or None if V fails the gate.
     """
-    Ap, D, N = _hbar_units(model)
-    scale = 1.0 + float((V * V).sum())
-    resid = float(np.linalg.norm(_residual_matrix(Ap, D, N, V), 2))
-    Ac = Ap - V @ N
+    v = v1, v2, v3 = _sym(V.tolist())
+    r1, r2, r3 = _residual(a, d, n, v)
+    resid = abs(r1 + r3) / 2 + math.hypot((r1 - r3) / 2, r2)
+    p, q, r, s = _closed_loop(a, n, v)
     ok = (
-        np.all(np.isfinite(V))
-        and np.linalg.eigvalsh(V).min() > -1e-9 * (1.0 + np.abs(V).max())
-        and resid <= 1e-9 * scale
-        and np.trace(Ac) < 0.0 < Ac[0, 0] * Ac[1, 1] - Ac[0, 1] * Ac[1, 0]
+        all(map(math.isfinite, v))
+        and (v1 + v3) / 2 - math.hypot((v1 - v3) / 2, v2) > -1e-9 * (1.0 + max(map(abs, v)))
+        and resid <= 1e-9 * (1.0 + v1 * v1 + 2.0 * v2 * v2 + v3 * v3)
+        and p + s < 0.0 < p * s - q * r
     )
-    return (model.hbar * V, model.hbar * resid) if ok else None
+    return (hbar * V, hbar * resid) if ok else None
 
 
 def _stable_pair(a, d, c, q):
@@ -328,7 +331,8 @@ def _solve_hamiltonian(model: DerivedModel) -> tuple[np.ndarray, float] | None:
     K = H^2 + sigma H + pi I, or None. Of K's six column pairs, the one with
     the largest |det| of its top 2x2 block over its column norms spans it."""
     Ap, D, N = _hbar_units(model)
-    pair = _stable_pair(Ap.ravel().tolist(), _sym(D.tolist()), model.Cr.tolist(), 4.0 * model.eta)
+    a, d, n = _triples(Ap, D, N)
+    pair = _stable_pair(a, d, model.Cr.tolist(), 4.0 * model.eta)
     if pair is None:
         return None
     sigma, pi = pair
@@ -343,11 +347,12 @@ def _solve_hamiltonian(model: DerivedModel) -> tuple[np.ndarray, float] | None:
     ij = max(itertools.combinations(range(4), 2), key=conditioning)
     if not conditioning(ij) > 0.0:
         return None
-    return _accept(model, symmetrize(K[2:, ij] @ np.linalg.inv(K[:2, ij])))
+    return _accept(model.hbar, a, d, n, symmetrize(K[2:, ij] @ np.linalg.inv(K[:2, ij])))
 
 
 def _solve_ode_limit(model: DerivedModel) -> tuple[np.ndarray, float] | None:
-    """Limit of the flow from the vacuum covariance by doubling, or None.
+    """Limit of the flow from the vacuum covariance by doubling, or None,
+    also when 64 doublings do not reach it.
 
     The flow is rebased at the vacuum V0 = I/2 (units of hbar): U = V - V0
     obeys the same equation with A0 = A' - V0 N and D0 the residual at V0,
@@ -359,9 +364,11 @@ def _solve_ode_limit(model: DerivedModel) -> tuple[np.ndarray, float] | None:
     every operation exact.
     """
     Ap, D, N = _hbar_units(model)
+    a, d, n = _triples(Ap, D, N)
     V0 = 0.5 * np.eye(2)
     A0 = Ap - V0 @ N
-    D0 = symmetrize(_residual_matrix(Ap, D, N, V0))
+    r1, r2, r3 = _residual(a, d, n, (0.5, 0.0, 0.5))
+    D0 = np.array([[r1, r2], [r2, r3]])
     norm = np.linalg.norm(_hamiltonian_matrix(A0, D0, N), 1)
     if not norm > 0.0:
         return None
@@ -376,7 +383,9 @@ def _solve_ode_limit(model: DerivedModel) -> tuple[np.ndarray, float] | None:
             P = P_next
             if stalled and np.abs(E).max() < 1e-8:
                 break
-    return _accept(model, V0 + P)
+        else:  # no limit within 64 doublings: fail closed
+            return None
+    return _accept(model.hbar, a, d, n, V0 + P)
 
 
 def solve_are(
@@ -410,16 +419,3 @@ def solve_are(
     # Both routes return only solutions that passed _accept, whose gate
     # includes a Hurwitz closed loop.
     return SteadyState(V_inf=V, residual=resid, method=tag, closed_loop_stable=True)
-
-
-def are_existence_probe(model: DerivedModel) -> ExistenceProbe:
-    """Report the Hamiltonian spectrum and an existence verdict.
-
-    One :func:`solve_are` call viewed through :meth:`ExistenceProbe.of`, so
-    the verdict is True exactly when :func:`solve_are` succeeds.
-    """
-    try:
-        steady = solve_are(model)
-    except NoSteadySolution:
-        steady = None
-    return ExistenceProbe.of(model, steady)

@@ -83,11 +83,34 @@ class TestAnalyze:
         assert report["steady_state"] is None
         assert report["theorem"]["steady_state_exists"] is False
 
+    def test_zero_coupling_report_is_strict_json(self, zero_coupling_spec_file, tmp_path):
+        # RFC 8259 has no NaN: a number left undefined is written as null.
+        out = tmp_path / "out"
+        assert run(["analyze", "--spec", str(zero_coupling_spec_file), "--out", str(out)]) == 3
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["theorem"]["det_V_inf"] is None
+
     def test_ode_method(self, tmp_path):
         out = tmp_path / "out"
         code = run(["analyze", "--example", "2", "--method", "ode", "--out", str(out)])
         assert code == 0
         assert read_json(out / "report.json")["steady_state"]["method"] == "ode_limit"
+
+    def test_ode_method_without_limit_exits_three_with_report(self, tmp_path):
+        # The ODE route reaches no limit here, so the whole report (existence,
+        # theorem, steady state) says there is no steady solution.
+        out = tmp_path / "out"
+        values = f"m=1e-26,omega={2 * np.pi * 1e6!r},alpha=4.934802200544678e-13,phi=0,eta=1"
+        argv = ["analyze", "--example", "1", "--set", values, "--method", "ode", "--out", str(out)]
+        assert run(argv) == 3
+        report = read_json(out / "report.json")
+        assert report["steady_state"] is None
+        assert report["existence"]["exists"] is False
+        assert report["theorem"]["steady_state_exists"] is False
 
     def test_small_hbar_population_spec_solves(self, tmp_path):
         # acceptance population spec 5 at hbar = 1e-34: a valid spec whose
@@ -251,7 +274,7 @@ class TestOneSolvePerSystem:
 
     def test_analyze_ode_method_adds_one_ode_solve(self, route_entries, tmp_path):
         assert run(["analyze", "--example", "1", "--method", "ode", "--out", str(tmp_path)]) == 0
-        assert route_entries == ["_solve_hamiltonian", "_solve_ode_limit"]
+        assert route_entries == ["_solve_ode_limit"]
 
     def test_sweep(self, route_entries, tmp_path):
         argv = ["sweep", "--example", "1", "--param", "phi", "--min", "-1", "--max", "1"]

@@ -11,7 +11,6 @@ from qkalman import (
     SystemSpec,
     build_derived,
     compute_kappa,
-    is_physical_covariance,
     load_spec_file,
     spec_from_dict,
     spec_to_dict,
@@ -169,24 +168,6 @@ class TestModelInvariants:
             im_outer = np.imag(np.outer(spec.C.conj(), spec.C))
             ref = SIGMA @ (spec.G + im_outer)
             assert np.abs(m.A - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
-
-
-class TestCovariancePredicate:
-    def test_vacuum_is_physical(self):
-        assert is_physical_covariance(0.5 * np.eye(2), hbar=1.0)
-
-    def test_below_heisenberg_floor_rejected(self):
-        assert not is_physical_covariance(0.4 * np.eye(2), hbar=1.0)
-
-    def test_indefinite_rejected(self):
-        assert not is_physical_covariance(np.diag([1.0, -1.0]), hbar=1.0)
-
-    def test_asymmetric_rejected(self):
-        assert not is_physical_covariance(np.array([[1.0, 0.5], [-0.5, 1.0]]), hbar=1.0)
-
-    def test_hbar_scaling(self):
-        assert is_physical_covariance(np.eye(2), hbar=2.0)
-        assert not is_physical_covariance(0.9 * np.eye(2), hbar=2.0)
 
 
 class TestJsonSchema:

@@ -43,3 +43,18 @@ def test_package_import_leaves_scipy_unloaded():
     code = "import sys, qkalman, qkalman.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "importing qkalman loaded scipy"
+
+
+def test_package_all_is_union_of_module_all():
+    # The package re-exports exactly the public names of its library
+    # modules, and each listed name resolves.
+    import qkalman
+    from qkalman import bounds, closedform, model, riccati, sim
+
+    modules = (model, riccati, bounds, closedform, sim)
+    listed = {name for mod in modules for name in mod.__all__}
+    assert len(set(qkalman.__all__)) == len(qkalman.__all__)
+    assert set(qkalman.__all__) == listed | {"__version__"}
+    for mod in (qkalman, *modules):
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"

@@ -11,10 +11,8 @@ from qkalman import (
     RiccatiDivergence,
     RiccatiFlow,
     SystemSpec,
-    are_existence_probe,
     build_derived,
     integrate_riccati,
-    riccati_rhs,
     solve_are,
 )
 from qkalman.acceptance import POPULATION_SEED, _refine_reference
@@ -26,7 +24,7 @@ from qkalman.closedform import (
     example2_spec,
 )
 from qkalman.model import SIGMA
-from qkalman.riccati import _sym
+from qkalman.riccati import _accept, _hbar_units, _residual, _sym, _triples
 
 from conftest import random_spec
 
@@ -41,6 +39,26 @@ def scipy_are_oracle(model):
     )
 
 
+def quadratic_coefficient(model):
+    """The Riccati quadratic coefficient N = (4*eta/hbar) * Cr Cr^T."""
+    return (4.0 * model.eta / model.hbar) * np.outer(model.Cr, model.Cr)
+
+
+def residual(model, V):
+    """A'V + VA'^T + D - VNV as a symmetric 2x2 array, V and result in units of hbar."""
+    r1, r2, r3 = _residual(*_triples(*_hbar_units(model)), _sym(np.asarray(V).tolist()))
+    return np.array([[r1, r2], [r2, r3]])
+
+
+def probe(model):
+    """The existence probe of one default-route solve."""
+    try:
+        steady = solve_are(model)
+    except NoSteadySolution:
+        steady = None
+    return ExistenceProbe.of(model, steady)
+
+
 def sixty_digit_deviation(model, V):
     """max|V - ref| / (1 + max|ref|), with ref the 60-digit Newton solution
     of the same float64 model (A', D and N promoted exactly)."""
@@ -48,7 +66,7 @@ def sixty_digit_deviation(model, V):
         a = [mp.mpf(x) for x in model.Aprime.ravel().tolist()]
         d, n, v = (
             tuple(map(mp.mpf, _sym(X.tolist())))
-            for X in (model.D, model.quadratic_coefficient(), V)
+            for X in (model.D, quadratic_coefficient(model), V)
         )
         ref = _refine_reference(a, d, n, v)
         assert ref is not None
@@ -82,7 +100,7 @@ class TestRhs:
         spec = SystemSpec(G=np.zeros((2, 2)), C=np.array([0, 0]), eta=1.0)
         model = build_derived(spec)
         V = np.array([[1.3, 0.2], [0.2, 0.9]])
-        assert np.all(riccati_rhs(model, V) == 0)
+        assert np.all(residual(model, V) == 0)
 
     def test_example1_vacuum_exact_value(self):
         # Exact-arithmetic oracle: with G = I, C = (1, 0), eta = hbar = 1 and
@@ -110,7 +128,7 @@ class TestRhs:
         assert expected == [[F(-1), F(0)], [F(0), F(1)]]
 
         model = build_derived(example1_spec(Example1Params(m=1, omega=1, alpha=0.5, eta=1)))
-        rhs = riccati_rhs(model, 0.5 * np.eye(2))
+        rhs = residual(model, 0.5 * np.eye(2))
         assert np.allclose(rhs, [[-1.0, 0.0], [0.0, 1.0]], atol=1e-14)
 
     def test_vanishes_at_steady_state(self, rng):
@@ -121,13 +139,7 @@ class TestRhs:
             except NoSteadySolution:
                 continue
             scale = 1.0 + float((ss.V_inf**2).sum())
-            assert np.linalg.norm(riccati_rhs(model, ss.V_inf), 2) <= 1e-9 * scale
-
-    def test_output_is_symmetric(self, rng):
-        model = build_derived(random_spec(rng))
-        V = np.array([[1.0, 0.3], [0.3, 2.0]])
-        out = riccati_rhs(model, V)
-        assert np.array_equal(out, out.T)
+            assert np.linalg.norm(residual(model, ss.V_inf), 2) <= 1e-9 * scale
 
 
 class TestIntegrate:
@@ -179,7 +191,7 @@ class TestIntegrate:
         # Phi = exp(M t); the step map is exact, so dt changes only rounding.
         model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=0.5)))
         V0 = 0.5 * np.eye(2)
-        N = model.quadratic_coefficient()
+        N = quadratic_coefficient(model)
         Phi = expm(2.0 * np.block([[-model.Aprime.T, N], [model.D, model.Aprime]]))
         ref = (Phi[2:, :2] + Phi[2:, 2:] @ V0) @ np.linalg.inv(Phi[:2, :2] + Phi[:2, 2:] @ V0)
         ends = [
@@ -357,10 +369,60 @@ class TestSolveAre:
                 with pytest.raises(NoSteadySolution):
                     solve_are(model, method=method)
 
+    def test_ode_route_fails_closed_without_a_limit(self):
+        # The flow does not reach its limit within 64 doublings; its last
+        # iterate has det -9.0e13 where the closed form gives 1/4.
+        p = Example1Params(
+            m=1e-26, omega=2 * np.pi * 1e6, alpha=4.934802200544678e-13, phi=0.0, eta=1.0, hbar=1.0
+        )
+        model = build_derived(example1_spec(p))
+        with pytest.raises(NoSteadySolution):
+            solve_are(model, method="ode")
+
     def test_unknown_method_rejected(self):
         model = build_derived(example1_spec(Example1Params()))
         with pytest.raises(ValueError):
             solve_are(model, method="magic")
+
+
+class TestAccept:
+    """The steady-solution gate, on V in units of hbar."""
+
+    @staticmethod
+    def accept(model, V):
+        return _accept(model.hbar, *_triples(*_hbar_units(model)), V)
+
+    @pytest.fixture
+    def model(self):
+        return build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=0.5, hbar=2.0)))
+
+    def test_accepts_steady_state(self, model):
+        steady = solve_are(model)
+        V, resid = self.accept(model, steady.V_inf / model.hbar)
+        assert np.array_equal(V, steady.V_inf) and resid == steady.residual
+
+    def test_refuses_exact_non_stabilizing_root(self):
+        # beta = gamma = eta = 1, phi = 0: A' = diag(2, -2), D = diag(0, 1)
+        # and N = diag(4, 0). diag(0, 1/4) is an exact PSD root, but
+        # tr(A' - VN) = 0, so only the Hurwitz clause refuses it; the
+        # stabilizing root diag(1, 1/4) passes.
+        model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0, eta=1.0)))
+        root = np.diag([0.0, 0.25])
+        assert np.all(residual(model, root) == 0)
+        assert self.accept(model, root) is None
+        assert self.accept(model, np.diag([1.0, 0.25])) is not None
+
+    def test_refuses_non_finite(self, model):
+        for bad in (np.nan, np.inf, -np.inf):
+            V = solve_are(model).V_inf / model.hbar
+            V[0, 1] = V[1, 0] = bad
+            assert self.accept(model, V) is None
+
+    def test_refuses_indefinite(self, model):
+        V = solve_are(model).V_inf / model.hbar
+        shifted = V - 2.0 * np.linalg.eigvalsh(V)[0] * np.eye(2)
+        assert np.linalg.eigvalsh(shifted)[0] < 0
+        assert self.accept(model, shifted) is None
 
 
 _PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -414,17 +476,17 @@ class TestInvariance:
 
 class TestExistenceProbe:
     def test_example2_exists(self):
-        probe = are_existence_probe(build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0))))
-        assert probe.exists
-        assert probe.axis_distance > 1e-9
+        found = probe(build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0))))
+        assert found.exists
+        assert found.axis_distance > 1e-9
 
     def test_zero_coupling_marginal(self):
         spec = SystemSpec(G=np.eye(2), C=np.array([0, 0]), eta=1.0)
-        probe = are_existence_probe(build_derived(spec))
-        assert not probe.exists
+        found = probe(build_derived(spec))
+        assert not found.exists
         # Hamiltonian spectrum is {+-i} twice for this marginal system
-        assert probe.axis_distance <= 1e-9
-        assert np.allclose(np.sort(np.abs(probe.hamiltonian_eigenvalues.imag)), [1, 1, 1, 1], atol=1e-9)
+        assert found.axis_distance <= 1e-9
+        assert np.allclose(np.sort(np.abs(found.hamiltonian_eigenvalues.imag)), [1, 1, 1, 1], atol=1e-9)
 
     def test_example1_parameter_grid_exists(self):
         for m in (0.5, 2.0):
@@ -433,8 +495,7 @@ class TestExistenceProbe:
                     for eta in (0.25, 1.0):
                         for phi in (0.0, 1.0):
                             p = Example1Params(m=m, omega=omega, alpha=alpha, phi=phi, eta=eta)
-                            probe = are_existence_probe(build_derived(example1_spec(p)))
-                            assert probe.exists, p
+                            assert probe(build_derived(example1_spec(p))).exists, p
 
     def test_view_reads_route_of_solve_result(self):
         model = build_derived(example2_spec(Example2Params(beta=1.0, gamma=1.0)))
@@ -442,19 +503,18 @@ class TestExistenceProbe:
         assert ExistenceProbe.of(model, steady).detail == "stable-subspace solution accepted"
         missing = ExistenceProbe.of(model, None)
         assert not missing.exists
-        probe = are_existence_probe(model)
-        assert np.array_equal(missing.hamiltonian_eigenvalues, probe.hamiltonian_eigenvalues)
+        assert np.array_equal(missing.hamiltonian_eigenvalues, probe(model).hamiltonian_eigenvalues)
 
     def test_consistent_with_solver(self, rng):
         for _ in range(25):
             model = build_derived(random_spec(rng))
-            probe = are_existence_probe(model)
+            found = probe(model)
             try:
                 solve_are(model)
                 solved = True
             except NoSteadySolution:
                 solved = False
-            assert probe.exists == solved
+            assert found.exists == solved
 
 
 class TestRiccatiFlowType:
